@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify bench bench-batch bench-json bench-smoke trace-smoke aggregate-smoke failover-smoke overload-smoke stream-smoke crash experiments
+.PHONY: build test vet race verify bench bench-batch bench-smoke fuzz-smoke trace-smoke aggregate-smoke failover-smoke overload-smoke stream-smoke crash experiments
 
 build:
 	$(GO) build ./...
@@ -30,24 +30,22 @@ bench:
 bench-batch:
 	$(GO) test -run XXX -bench 'Batch64' -benchtime 10x .
 
-# bench-json regenerates the machine-readable perf baseline: the LBL
-# table-build and recover kernels at 1 KiB values across 1/4/8 workers,
-# with ops/s, p50/p99, and allocation counts. Run on the target
-# hardware — the report records cpus_available, and the multicore
-# speedup claim only holds where the cores exist.
-bench-json:
-	$(GO) run ./cmd/ortoa-bench -experiment bench -bench-out BENCH_5.json
-
-# bench-smoke is the CI benchmark gate: one short pass over the kernel
-# and hot-path benchmarks, checking they still run, plus a full-shape
-# bench run gated against the checked-in BENCH_5.json baseline: the
-# experiment fails on a >25% ops/s drop. The gate only arms when this
-# host matches the baseline's recorded value size and CPU count (so a
-# differently-sized CI runner skips the comparison with a note instead
-# of failing on hardware differences).
+# bench-smoke is the CI benchmark smoke check: one short pass over the
+# kernel and hot-path benchmarks, checking they still run. End-to-end
+# performance is measured by the repository benchmark (e2ebench/,
+# BENCHMARK.json).
 bench-smoke:
 	$(GO) test -run XXX -bench 'Kernel1KiB|LBLBuildRequest|SealLabel|OpenLabel' -benchtime 5x ./internal/core/ ./internal/crypto/secretbox/
-	$(GO) run ./cmd/ortoa-bench -experiment bench -bench-baseline BENCH_5.json
+
+# fuzz-smoke runs each internal/core fuzz target for 15 seconds: hostile
+# server payloads (the unified LBL access decoder, its continuation
+# frames, TEE and loader payloads) and record parsing must give errors,
+# never panics. Minimizing each new interesting input is capped at one
+# second so the budget goes to exploring.
+fuzz-smoke:
+	for t in $$($(GO) test -list 'Fuzz.*' ./internal/core/ | grep '^Fuzz'); do \
+		$(GO) test -run XXX -fuzz "^$$t$$" -fuzztime 15s -fuzzminimizetime 1s ./internal/core/ || exit 1; \
+	done
 
 # trace-smoke runs the one-trace Fig 3c experiment: a traced LBL
 # workload must yield a complete cross-process span tree whose stage

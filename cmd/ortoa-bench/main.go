@@ -39,8 +39,6 @@ func main() {
 	concurrency := flag.Int("concurrency", 0, "override client thread count")
 	out := flag.String("out", "", "also write results to this file")
 	format := flag.String("format", "text", "output format: text, csv, markdown")
-	benchOut := flag.String("bench-out", "", "write the 'bench' experiment's JSON report to this file")
-	benchBaseline := flag.String("bench-baseline", "", "compare the 'bench' experiment against this prior JSON report; fail on >25% ops/s regression (skipped when value size or CPU count differ)")
 	flag.Parse()
 
 	if *list {
@@ -50,8 +48,7 @@ func main() {
 		return
 	}
 
-	opt := harness.Options{Quick: *quick, Keys: *keys, Ops: *ops, Concurrency: *concurrency,
-		BenchOut: *benchOut, BenchBaseline: *benchBaseline}
+	opt := harness.Options{Quick: *quick, Keys: *keys, Ops: *ops, Concurrency: *concurrency}
 	var w io.Writer = os.Stdout
 	if *out != "" {
 		f, err := os.Create(*out)

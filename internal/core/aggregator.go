@@ -94,7 +94,7 @@ func (c AggregatorConfig) brownoutMaxBatch() int {
 // first access opens a time/size window, later arrivals join it in
 // FIFO order, and when the window closes — its timer fires or it
 // reaches MaxBatch — one session issues the whole window as a single
-// MsgLBLAccessBatch frame and demultiplexes the per-access results
+// batch round and demultiplexes the per-access results
 // (and per-access errors) back to the waiters.
 //
 // The hand-off mirrors the WAL's group commit (DESIGN.md §10): the

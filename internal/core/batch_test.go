@@ -294,8 +294,8 @@ func TestObliviousnessLBLBatch(t *testing.T) {
 			if len(reads) != 1 {
 				t.Errorf("batch of %d distinct keys produced %d exchanges, want 1", ops, len(reads))
 			}
-			if reads[0].msgType != MsgLBLAccessBatch {
-				t.Errorf("observed msgType %#x, want MsgLBLAccessBatch", reads[0].msgType)
+			if reads[0].msgType != MsgLBLAccess {
+				t.Errorf("observed msgType %#x, want MsgLBLAccess", reads[0].msgType)
 			}
 		})
 	}
@@ -324,11 +324,11 @@ func TestLBLShuffleDiffersAcrossProxies(t *testing.T) {
 	a, b := mk(), mk()
 	differed := false
 	for i := 0; i < 8; i++ {
-		ra, err := a.buildRequest(OpRead, "k", nil, 0)
+		ra, err := oneFrameRequest(a, OpRead, "k", nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := b.buildRequest(OpRead, "k", nil, 0)
+		rb, err := oneFrameRequest(b, OpRead, "k", nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

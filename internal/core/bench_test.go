@@ -25,7 +25,7 @@ func BenchmarkLBLBuildRequest(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := proxy.buildRequest(OpWrite, "k", value, uint64(i)); err != nil {
+					if _, err := oneFrameRequest(proxy, OpWrite, "k", value, uint64(i)); err != nil {
 						b.Fatal(err)
 					}
 				}

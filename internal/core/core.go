@@ -41,7 +41,15 @@ const (
 	// store during initialization; records are already encoded by the
 	// trusted side, so one handler serves every protocol.
 	MsgLoad byte = 0x01
-	// MsgLBLAccess is an LBL-ORTOA access (§5.2).
+	// MsgLBLAccess is one LBL-ORTOA round (§5.2): n ≥ 1 accesses whose
+	// encryption tables travel in k ≥ 1 request frames under one request
+	// id — a head, then k−1 continuations (LBLConfig.writeFrames) — and
+	// are answered by one response frame. Batching amortizes the
+	// per-frame and per-round-trip overhead ORTOA's one-round-trip
+	// design targets (§5.2, §6.3); several frames let the proxy write
+	// sealed groups as workers produce them and the server trial-decrypt
+	// each frame before the last one lands. Neither changes what the
+	// adversary learns per access.
 	MsgLBLAccess byte = 0x02
 	// MsgTEEAccess is a TEE-ORTOA access (§4.1).
 	MsgTEEAccess byte = 0x03
@@ -61,13 +69,8 @@ const (
 	// MsgFHESetRelin ships a relinearization (evaluation) key to the
 	// FHE server, which then keeps stored ciphertexts at degree 1.
 	MsgFHESetRelin byte = 0x0A
-	// MsgLBLAccessBatch packs many LBL-ORTOA accesses into a single
-	// frame: one shared table geometry header followed by one
-	// (encoded key, encryption table) pair per access, answered by one
-	// frame carrying every access's response labels. Batching amortizes
-	// the per-frame and per-round-trip overhead ORTOA's one-round-trip
-	// design targets (§5.2, §6.3) without changing what the adversary
-	// learns per access.
+	// MsgLBLAccessBatch is retired: batches are MsgLBLAccess rounds of
+	// n > 1 keys. The number stays reserved, with no handler.
 	MsgLBLAccessBatch byte = 0x0B
 	// MsgEpochClaim asserts ownership of one counter range in a
 	// multi-proxy deployment: the server bumps the range's fencing
@@ -75,14 +78,9 @@ const (
 	// (epoch.go). Fixed-width request (rangeID ‖ minEpoch) and response
 	// (epoch), so claims are strict shape classes both ways.
 	MsgEpochClaim byte = 0x0C
-	// MsgLBLAccessStream is a chunked LBL access: the same round as
-	// MsgLBLAccess / MsgLBLAccessBatch, but the request arrives as a
-	// begin/chunk/end frame sequence (wire/stream.go) sharing one
-	// request id, so the proxy can write sealed groups to the wire as
-	// workers produce them and the server can trial-decrypt each chunk
-	// before the last one lands. The response is the single existing
-	// frame; every segment header is fixed-width so the streamed shape
-	// is as operation-oblivious as the monolithic one.
+	// MsgLBLAccessStream is retired: chunked requests are MsgLBLAccess
+	// rounds of k > 1 frames. The number stays reserved, with no
+	// handler.
 	MsgLBLAccessStream byte = 0x0D
 )
 

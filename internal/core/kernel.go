@@ -9,9 +9,9 @@ import (
 
 // This file exports fixtures for the two dominant LBL-ORTOA CPU
 // kernels — proxy-side table construction and the server recover/apply
-// pass plus proxy label recovery — so the harness "bench" experiment
-// and the benchmark smoke job measure the real hot paths with explicit
-// worker counts, without a transport in the way.
+// pass plus proxy label recovery — so the repository benchmark's layer
+// timings and the benchmark smoke job measure the real hot paths with
+// explicit worker counts, without a transport in the way.
 
 // A TableBuildKernel repeatedly builds one access's encryption table
 // (§5.2 steps 1.2–1.5) into a reused buffer.
@@ -45,7 +45,7 @@ func (k *TableBuildKernel) TableBytes() int { return len(k.table) }
 // same (operation-type obliviousness).
 func (k *TableBuildKernel) Op() error {
 	k.ct++
-	return k.proxy.buildAccessTable(k.table, "bench", OpWrite, k.value, k.ct, k.workers)
+	return k.proxy.sealKey(k.table, &roundKey{op: OpWrite, key: "bench", value: k.value, ct: k.ct}, 0, k.proxy.cfg.Groups(), k.workers)
 }
 
 // A RecoverKernel repeatedly performs one access's server half — trial
@@ -108,7 +108,7 @@ func (k *RecoverKernel) Window() int { return len(k.tables) }
 // Call it before each run of Window() Ops.
 func (k *RecoverKernel) Prepare() error {
 	for i := range k.tables {
-		if err := k.proxy.buildAccessTable(k.tables[i], "bench", OpRead, nil, k.ct+uint64(i), k.workers); err != nil {
+		if err := k.proxy.sealKey(k.tables[i], &roundKey{op: OpRead, key: "bench", ct: k.ct + uint64(i)}, 0, k.proxy.cfg.Groups(), k.workers); err != nil {
 			return err
 		}
 	}
@@ -122,11 +122,11 @@ func (k *RecoverKernel) Op() error {
 	if k.used >= len(k.tables) {
 		return errors.New("core: recover kernel window exhausted; call Prepare")
 	}
-	if err := k.srv.accessOne(k.ek, k.geo, k.tables[k.used], k.labels); err != nil {
+	if err := k.srv.accessOne(k.ek, k.geo, k.tables[k.used], k.labels, nil); err != nil {
 		return err
 	}
 	k.used++
 	k.ct++
-	_, err := k.proxy.recoverWorkers(OpRead, "bench", nil, k.ct, k.labels, k.workers)
+	_, err := k.proxy.recoverWorkers(k.proxy.prf.LabelGen("bench"), OpRead, nil, k.ct, k.labels, k.workers)
 	return err
 }

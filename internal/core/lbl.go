@@ -119,15 +119,14 @@ type LBLConfig struct {
 	// The retry then rebases the key's counter through ReconcileScan,
 	// which AutoAdopt therefore requires to be useful. See epoch.go.
 	AutoAdopt bool
-	// StreamChunkBytes, when positive, selects the chunked-streaming
-	// request path (MsgLBLAccessStream): the proxy writes sealed groups
-	// to the wire in chunks of about this many table bytes as workers
-	// produce them, and the server trial-decrypts each chunk before the
-	// last one lands, pipelining the garbling CPU against the WAN. It
-	// also bounds the proxy's peak table memory per access to one chunk
-	// instead of the full ℓ/y groups. Zero keeps the monolithic
-	// single-frame path. Tables that fit in one chunk fall back to the
-	// monolithic path automatically.
+	// StreamChunkBytes, when positive, bounds the sealed-table bytes one
+	// request frame carries. A round whose tables exceed it goes out as
+	// k > 1 frames on one connection (see frames): the proxy writes each
+	// frame as soon as its groups are sealed, and the server
+	// trial-decrypts each frame before the last one lands, pipelining
+	// the garbling CPU against the WAN. It also bounds the proxy's table
+	// memory per round to one chunk instead of the full ℓ/y groups per
+	// key. Zero sends every round as one frame.
 	StreamChunkBytes int
 }
 
@@ -144,103 +143,111 @@ func (c LBLConfig) ServerBytesPerValue() int {
 	return n
 }
 
+// groupLen is the sealed size of one label group: 2^y entries.
+func (c LBLConfig) groupLen() int { return c.Mode.entries() * c.Mode.entryLen() }
+
 // TableBytes returns the size of one access's encryption table
 // (2^y · E_len · ℓ/y).
-func (c LBLConfig) TableBytes() int {
-	return c.Groups() * c.Mode.entries() * c.Mode.entryLen()
-}
+func (c LBLConfig) TableBytes() int { return c.Groups() * c.groupLen() }
 
-// RequestBytesPerAccess returns the exact access payload size
-// (§5.3.2: 2^y · E_len · ℓ/y table entries plus framing, including the
-// fixed-width ownership claim of epoch.go).
-func (c LBLConfig) RequestBytesPerAccess() int {
-	return prf.Size + lblClaimLen + 1 +
-		wire.UvarintLen(uint64(c.Groups())) +
-		wire.UvarintLen(uint64(c.Mode.entryLen())) +
-		c.TableBytes()
-}
+// An LBL round — one MsgLBLAccess call — accesses n ≥ 1 keys. Its
+// n·ℓ/y sealed groups, key after key, travel in k ≥ 1 request frames.
+// The head frame is
+//
+//	mode ‖ uvarint groups ‖ uvarint entry length ‖ uvarint n ‖ uvarint k ‖
+//	n × (encoded key ‖ ownership claim) ‖ the first frame's groups
+//
+// and each of the k−1 continuation frames is
+//
+//	lblContinuation ‖ mode ‖ uvarint groups ‖ uvarint count ‖ count groups.
+//
+// Every frame but the last carries chunkGroups(n·ℓ/y, k) groups, the
+// last one the rest. k is a pure function of the geometry, n and the
+// chunk budget, so frame counts and lengths depend on public parameters
+// only, whatever operations the round carries.
 
-// BatchRequestBytes returns the exact MsgLBLAccessBatch payload size
-// for n accesses: one shared geometry header plus n (key, claim, table)
-// triples.
-func (c LBLConfig) BatchRequestBytes(n int) int {
-	return 1 +
-		wire.UvarintLen(uint64(c.Groups())) +
-		wire.UvarintLen(uint64(c.Mode.entryLen())) +
-		wire.UvarintLen(uint64(n)) +
-		n*(prf.Size+lblClaimLen+c.TableBytes())
-}
+// lblContinuation opens every continuation frame. A head opens with its
+// mode byte, which is always below it.
+const lblContinuation = 0x80
 
-// streamChunkGroups returns how many whole groups one stream chunk
-// carries under the configured chunk budget, at least one.
-func (c LBLConfig) streamChunkGroups() int {
-	per := c.Mode.entries() * c.Mode.entryLen()
-	g := c.StreamChunkBytes / per
-	if g < 1 {
-		g = 1
+// lblIDLen is one key's identity in the head: encoded key and
+// ownership claim.
+const lblIDLen = prf.Size + lblClaimLen
+
+// chunkGroups returns how many groups each frame but the last carries
+// when total groups travel in k frames.
+func chunkGroups(total, k int) int { return (total + k - 1) / k }
+
+// frames returns the frame count k of an n-key round under the chunk
+// budget, and the groups each frame but the last carries.
+func (c LBLConfig) frames(n int) (k, perFrame int) {
+	total := n * c.Groups()
+	k = 1
+	if c.StreamChunkBytes > 0 {
+		budget := max(1, c.StreamChunkBytes/c.groupLen())
+		k = (total + budget - 1) / budget
 	}
-	if max := c.Groups(); g > max {
-		g = max
+	return k, chunkGroups(total, k)
+}
+
+// contHeaderLen is the header size of a continuation frame carrying
+// count groups.
+func (c LBLConfig) contHeaderLen(count int) int {
+	return 2 + wire.UvarintLen(uint64(c.Groups())) + wire.UvarintLen(uint64(count))
+}
+
+// RequestBytes returns the exact request size of an n-key round, summed
+// over its k frames (§5.3.2: 2^y · E_len · ℓ/y table bytes per key plus
+// framing, including the fixed-width ownership claim of epoch.go).
+func (c LBLConfig) RequestBytes(n int) int {
+	k, per := c.frames(n)
+	total := n * c.Groups()
+	b := 1 + wire.UvarintLen(uint64(c.Groups())) + wire.UvarintLen(uint64(c.Mode.entryLen())) +
+		wire.UvarintLen(uint64(n)) + wire.UvarintLen(uint64(k)) + n*lblIDLen + total*c.groupLen()
+	if k > 1 {
+		b += (k-2)*c.contHeaderLen(per) + c.contHeaderLen(total-(k-1)*per)
 	}
-	return g
+	return b
 }
 
-// streamChunks returns how many chunk frames one access's table spans.
-func (c LBLConfig) streamChunks() int {
-	cg := c.streamChunkGroups()
-	return (c.Groups() + cg - 1) / cg
-}
+// RequestBytesPerAccess returns the request size of one single-key
+// access, RequestBytes(1).
+func (c LBLConfig) RequestBytesPerAccess() int { return c.RequestBytes(1) }
 
-// streaming reports whether the chunked-streaming path is active: a
-// chunk budget is configured and the table actually spans more than
-// one chunk (a single-chunk stream would add frames without overlap).
-func (c LBLConfig) streaming() bool {
-	return c.StreamChunkBytes > 0 && c.streamChunks() > 1
-}
-
-// batchStreamLayout returns how a batch of n accesses is chunked under
-// the configured budget: whole per-key segments per chunk, at least
-// one.
-func (c LBLConfig) batchStreamLayout(n int) (perChunk, nChunks int) {
-	segLen := prf.Size + lblClaimLen + c.TableBytes()
-	perChunk = c.StreamChunkBytes / segLen
-	if perChunk < 1 {
-		perChunk = 1
+// writeFrames lays an n-key round out as its k frames. For each frame
+// in order it resets w and writes the frame's header — the head's, with
+// ids appending the n key identities, or a continuation's — then the
+// frame's sealed groups, which seal fills for the round's groups
+// [g0, g1); emit then takes the frame, whose bytes stay valid only
+// until the next one is written.
+func (c LBLConfig) writeFrames(w *wire.Writer, n int, ids func(*wire.Writer), seal func(dst []byte, g0, g1 int) error, emit func([]byte) error) error {
+	k, per := c.frames(n)
+	total := n * c.Groups()
+	for f := 0; f < k; f++ {
+		g0 := f * per
+		g1 := min(g0+per, total)
+		w.Reset()
+		if f == 0 {
+			w.Byte(byte(c.Mode))
+			w.Uvarint(uint64(c.Groups()))
+			w.Uvarint(uint64(c.Mode.entryLen()))
+			w.Uvarint(uint64(n))
+			w.Uvarint(uint64(k))
+			ids(w)
+		} else {
+			w.Byte(lblContinuation)
+			w.Byte(byte(c.Mode))
+			w.Uvarint(uint64(c.Groups()))
+			w.Uvarint(uint64(g1 - g0))
+		}
+		if err := seal(w.Extend((g1-g0)*c.groupLen()), g0, g1); err != nil {
+			return err
+		}
+		if err := emit(w.Bytes()); err != nil {
+			return err
+		}
 	}
-	if perChunk > n {
-		perChunk = n
-	}
-	nChunks = (n + perChunk - 1) / perChunk
-	return perChunk, nChunks
-}
-
-// batchStreaming reports whether a batch of n accesses takes the
-// chunked-streaming path: a budget is configured and the batch spans
-// more than one chunk. Single-chunk batches keep the monolithic frame
-// — which then never exceeds roughly one chunk budget plus a segment.
-func (c LBLConfig) batchStreaming(n int) bool {
-	if c.StreamChunkBytes <= 0 {
-		return false
-	}
-	_, nChunks := c.batchStreamLayout(n)
-	return nChunks > 1
-}
-
-// streamBeginSingleLen is the fixed width of a single-access stream
-// begin frame: kind, sub, encoded key, ownership claim, mode, then
-// little-endian u32 groups, entry length, chunk groups, chunk count.
-const streamBeginSingleLen = 2 + prf.Size + lblClaimLen + 1 + 4*4
-
-// streamBeginBatchLen is the fixed width of a batch stream begin
-// frame: kind, sub, mode, then little-endian u32 groups, entry length,
-// batch size, keys per chunk, chunk count.
-const streamBeginBatchLen = 2 + 1 + 5*4
-
-// StreamRequestBytes returns the total streamed request bytes for one
-// access: begin and end frames, per-chunk headers, and the table.
-func (c LBLConfig) StreamRequestBytes() int {
-	return streamBeginSingleLen + c.streamChunks()*wire.StreamChunkHeaderLen +
-		c.TableBytes() + wire.StreamEndLen
+	return nil
 }
 
 func (c LBLConfig) validate() error {
@@ -375,40 +382,100 @@ func (p *LBLProxy) Access(op Op, key string, newValue []byte) ([]byte, AccessSta
 
 // AccessContext is Access with a caller context: cancellation plus the
 // active trace span, under which the whole proxy-side stage tree
-// (counter_acquire, table_build, rpc, label_recover) is recorded.
+// (counter_acquire, table_build, rpc, label_recover) is recorded. The
+// access is a round of one key.
 func (p *LBLProxy) AccessContext(ctx context.Context, op Op, key string, newValue []byte) ([]byte, AccessStats, error) {
-	var stats AccessStats
 	if op == OpWrite && len(newValue) != p.cfg.ValueSize {
-		return nil, stats, ErrValueSize
+		return nil, AccessStats{}, ErrValueSize
 	}
 	if p.client == nil {
-		return nil, stats, fmt.Errorf("core: LBL proxy has no server connection")
+		return nil, AccessStats{}, fmt.Errorf("core: LBL proxy has no server connection")
 	}
-	root, ctx := p.traceStart(ctx, "lbl_access")
-	defer root.End()
+	keys := []roundKey{{op: op, key: key, value: newValue}}
+	stats, err := p.round(ctx, true, keys)
+	return keys[0].out, stats, err
+}
 
-	// Per-key serialization: the label schedule is counter-indexed,
-	// so a key's accesses must not interleave (see counterTable).
+// A roundKey is one key's access within a round.
+type roundKey struct {
+	op    Op
+	key   string
+	value []byte        // the written value, for OpWrite
+	entry *counterEntry // the key's counter, held for the round (nil for probes)
+	ct    uint64        // the counter the key's table is built at
+	gen   *prf.LabelGen // the key's label generator, built once per round (labelGen)
+
+	labels []byte // the server's response labels
+	out    []byte // the recovered value
+	err    error  // this access's outcome
+}
+
+// round performs one LBL round trip (§5.2) for keys, which are unique
+// and sorted: it acquires every key's counter, settles parked rounds,
+// sends the keys' tables as one call of k frames, and recovers every
+// value from the one response. Each key's value or error lands in its
+// roundKey, and its counter commits only once its value is recovered;
+// the first error is returned. single marks a lone Access: its spans,
+// stage histograms and slow-trace log are the per-access ones.
+//
+// A one-key round rejected by the epoch fence or as stale retries after
+// adopting the range or reconciling the counter. An n-key round
+// reports such per-key rejections in its response instead.
+func (p *LBLProxy) round(ctx context.Context, single bool, keys []roundKey) (AccessStats, error) {
+	var stats AccessStats
+	name, st := "lbl_access_batch", p.mx.batch
+	if single {
+		name, st = "lbl_access", p.mx.single
+	}
+	root, ctx := p.traceStart(ctx, name)
+	defer root.End()
+	fail := func(err error) (AccessStats, error) {
+		for i := range keys {
+			if keys[i].err == nil {
+				keys[i].err = err
+			}
+		}
+		if single {
+			p.mx.errors.Inc()
+		}
+		return stats, err
+	}
+
+	// Per-key serialization: the label schedule is counter-indexed, so
+	// a key's accesses must not interleave (see counterTable). Counters
+	// are taken in sorted key order, so concurrent rounds cannot
+	// deadlock.
 	sw := obs.StartWatch(p.mx.enabled)
 	spAcq := root.Child("counter_acquire")
-	entry := p.counters.acquire(key)
-	defer entry.mu.Unlock()
-	if entry.pending != nil {
-		// A previous round for this key failed ambiguously; settle it
-		// (at-most-once replay, see pending.go) before building a table
-		// at a counter value that may already be stale.
-		if err := p.resolvePending(key, entry); err != nil {
-			spAcq.End()
-			p.mx.errors.Inc()
-			return nil, stats, err
+	for i := range keys {
+		keys[i].entry = p.counters.acquire(keys[i].key)
+	}
+	defer func() {
+		for i := range keys {
+			keys[i].entry.mu.Unlock()
+		}
+	}()
+	// Settle ambiguous earlier rounds (at-most-once replay, see
+	// pending.go) before building tables at counter values that may
+	// already be stale. An unresolvable round fails the whole round: no
+	// frame was sent, so no counter state changed.
+	for i := range keys {
+		if keys[i].entry.pending != nil {
+			if err := p.resolvePending(keys[i].key, keys[i].entry); err != nil {
+				spAcq.End()
+				return fail(err)
+			}
 		}
 	}
 	spAcq.End()
-	dAcquire := sw.Lap(p.mx.acquire)
+	dAcquire := sw.Lap(st.acquire)
+	if !single {
+		p.mx.batchKeys.Add(int64(len(keys)))
+	}
 
-	var dBuild, dRPC time.Duration
 	var resp []byte
-	// Each recovery transition below is bounded per access, and they may
+	var dBuild, dRPC time.Duration
+	// Each recovery transition below is bounded per round, and they may
 	// chain: an adoption (fence → claim) typically exposes a
 	// desynchronized counter on its retry (the adopter starts from a
 	// stale or empty snapshot), which reconciliation then rebases. The
@@ -417,144 +484,124 @@ func (p *LBLProxy) AccessContext(ctx context.Context, op Op, key string, newValu
 	// step and its retry; the transient resolves within a lap or two.
 	const recoveryAllowance = 3
 	var claimed, reconciled int
-	streamed := p.cfg.streaming()
 	for {
-		// Dead callers get no table: garbling is the proxy's most
-		// expensive stage, so an access whose propagated deadline has
-		// already passed is dropped before building anything
-		// (DESIGN.md §15). Nothing was sent — a definite non-execution,
-		// never parked as ambiguous.
+		// Dead callers get no tables: garbling is the proxy's most
+		// expensive stage, so a round whose propagated deadline has
+		// already passed is dropped before building anything (DESIGN.md
+		// §15). Nothing was sent — a definite non-execution, never
+		// parked as ambiguous.
 		if ctx.Err() != nil {
-			p.mx.errors.Inc()
-			return nil, stats, errDeadlineBeforeBuild
+			return fail(errDeadlineBeforeBuild)
 		}
-		var reqW *wire.Writer
-		var id uint64
+		for i := range keys {
+			keys[i].ct = keys[i].entry.ct
+		}
+		id := p.client.NextID()
+		var req *wire.Writer
+		var build time.Duration
 		var err error
-		if streamed {
-			// Chunked-streaming path: build and send are one pipelined
-			// stage, so the build/rpc split comes from streamAccess's own
-			// sealing measurement rather than stopwatch laps.
-			id = p.client.NextID()
-			var db time.Duration
-			resp, db, err = p.streamAccess(ctx, root, id, op, key, newValue, entry.ct)
-			wall := sw.Lap(nil)
-			dBuild += db
-			dr := wall - db
-			if dr < 0 {
-				dr = 0
-			}
-			dRPC += dr
-			if p.mx.enabled {
-				p.mx.build.Observe(db)
-				p.mx.rpc.Observe(dr)
-			}
-			stats.PrepBytes = p.cfg.StreamRequestBytes()
-		} else {
-			// The request buffer is pooled: framing allocates nothing in
-			// steady state. It is released after the RPC settles — except
-			// when the round is parked for at-most-once replay, which
-			// retains the bytes.
-			spBuild := root.Child("table_build")
-			reqW = wire.GetWriter(p.cfg.RequestBytesPerAccess())
-			if err = p.buildRequestInto(reqW, op, key, newValue, entry.ct); err != nil {
-				spBuild.End()
-				wire.PutWriter(reqW)
-				p.mx.errors.Inc()
-				return nil, stats, err
-			}
-			req := reqW.Bytes()
-			spBuild.End()
-			dBuild += sw.Lap(p.mx.build)
-			stats.PrepBytes = len(req)
-
-			id = p.client.NextID()
-			spRPC := root.Child("rpc")
-			resp, err = p.client.CallContextID(trace.ContextWith(ctx, spRPC), id, MsgLBLAccess, req)
-			spRPC.End()
+		resp, req, build, err = p.sendRound(ctx, root, id, keys)
+		rpc := max(sw.Lap(nil)-build, 0)
+		dBuild += build
+		dRPC += rpc
+		if p.mx.enabled {
+			st.build.Observe(build)
+			st.rpc.Observe(rpc)
 		}
+		stats.PrepBytes = p.cfg.RequestBytes(len(keys))
 		if err == nil {
-			if reqW != nil {
-				wire.PutWriter(reqW)
-			}
+			wire.PutWriter(req)
 			break
 		}
 		if transport.Ambiguous(err) {
-			// The round may have executed; park it so the key's next
-			// access settles the outcome before trusting the counter.
-			// A monolithic round parks its request bytes, so reqW is not
-			// returned to the pool; a streamed round's chunks went out in
-			// pooled frames, so it parks none — resolution rebuilds a
-			// monolithic request at the same counter (pending.go).
-			pr := &pendingRound{id: id, msgType: MsgLBLAccess,
-				op: op, value: pendingValue(op, newValue)}
-			if reqW != nil {
-				pr.req = reqW.Bytes()
+			// The round may have executed. Park it on every key, which
+			// then settles its own share of the outcome on its next
+			// access. A one-frame round's parked rounds own its request
+			// bytes for replay (replays of one id dedup to a single
+			// execution server-side); a multi-frame round parks none.
+			for i := range keys {
+				keys[i].entry.pending = parkRound(id, req, keys, i)
 			}
-			entry.pending = pr
-			p.mx.pendingSaved.Inc()
-			p.mx.errors.Inc()
-			return nil, stats, err
+			p.mx.pendingSaved.Add(int64(len(keys)))
+			return fail(err)
 		}
-		if reqW != nil {
-			wire.PutWriter(reqW)
-		}
-		if claimed < recoveryAllowance && p.cfg.AutoAdopt && isFencedRound(err) {
+		wire.PutWriter(req)
+		if len(keys) == 1 && claimed < recoveryAllowance && p.cfg.AutoAdopt && isFencedRound(err) {
 			// The range's epoch moved past ours: we are being handed
 			// ownership (or re-learning it after a restart). Claim the
 			// range — fencing out every older owner — and retry at the
 			// granted epoch.
 			claimed++
 			p.mx.fencedRounds.Inc()
-			if !streamed {
-				sw.Lap(p.mx.rpc)
-			}
-			if _, cerr := p.ClaimRange(RangeOf(key)); cerr == nil {
+			if _, cerr := p.ClaimRange(RangeOf(keys[0].key)); cerr == nil {
 				sw.Lap(nil)
 				continue
 			}
-			p.mx.errors.Inc()
-			return nil, stats, err
-		}
-		if reconciled < recoveryAllowance && p.cfg.ReconcileScan > 0 && isStaleRound(err) {
+		} else if len(keys) == 1 && reconciled < recoveryAllowance && p.cfg.ReconcileScan > 0 && isStaleRound(err) {
 			// A fresh stale rejection with no parked round means the
 			// counter and the server's record have desynchronized
 			// (crash recovery on either side, or a just-adopted range
 			// whose counters we never held). Re-locate the server's
 			// counter and retry this access at the rebased value.
 			reconciled++
-			if !streamed {
-				sw.Lap(p.mx.rpc)
-			}
-			if rerr := p.reconcile(key, entry); rerr == nil {
+			if p.reconcile(keys[0].key, keys[0].entry) == nil {
 				sw.Lap(nil)
 				continue
 			}
-			p.mx.errors.Inc()
-			return nil, stats, err
 		}
-		p.mx.errors.Inc()
-		return nil, stats, err
-	}
-	if !streamed {
-		dRPC += sw.Lap(p.mx.rpc)
+		return fail(err)
 	}
 	stats.RespBytes = len(resp)
 
-	spRec := root.Child("label_recover")
-	value, err := p.recover(op, key, newValue, entry.ct+1, resp)
-	spRec.End()
-	if err != nil {
-		p.mx.errors.Inc()
-		return nil, stats, err
+	if err := eachResult(resp, len(keys), p.cfg.Groups()*prf.Size, func(i int, labels []byte, msg string) {
+		keys[i].labels = labels
+		if msg != "" {
+			// Per-key rejection: the server left this record untouched,
+			// so the counter must not advance.
+			keys[i].err = fmt.Errorf("core: batch access %q: %w", keys[i].key, &transport.RemoteError{Msg: msg})
+		}
+	}); err != nil {
+		for i := range keys {
+			keys[i].err = err
+		}
+		return fail(err)
 	}
-	dRecover := sw.Lap(p.mx.recover)
-	entry.ct++ // commit the counter only after a successful round
+
+	// Recover each value from its labels (2^y·ℓ/y PRF comparisons per
+	// key in the worst case), across keys and within each key's groups.
+	spRec := root.Child("label_recover")
+	workers := min(max(1, runtime.GOMAXPROCS(0)/len(keys)), tableWorkers(p.cfg.Groups()))
+	if len(keys) == 1 {
+		// The common one-key round: no fan-out closure to allocate.
+		p.recoverKey(&keys[0], workers)
+	} else {
+		forEachBatched(len(keys), func(i int) { p.recoverKey(&keys[i], workers) })
+	}
+	spRec.End()
+	dRecover := sw.Lap(st.recover)
+
+	var firstErr error
+	for i := range keys {
+		if keys[i].err != nil {
+			if firstErr == nil {
+				firstErr = keys[i].err
+			}
+			continue
+		}
+		keys[i].entry.ct++ // commit the counter only after a successful round
+	}
+	if !single {
+		return stats, firstErr
+	}
+	if firstErr != nil {
+		p.mx.errors.Inc()
+		return stats, firstErr
+	}
 	if p.mx.enabled {
 		total := dAcquire + dBuild + dRPC + dRecover
 		p.mx.e2e.ObserveExemplar(total, root.TraceID())
 		if p.mx.slow.Worthy(total) {
-			ek := p.prf.EncodeKey(key)
+			ek := p.prf.EncodeKey(keys[0].key)
 			p.mx.slow.Record(obs.Trace{
 				At:    time.Now(),
 				Label: traceLabel(ek[:]),
@@ -568,7 +615,134 @@ func (p *LBLProxy) AccessContext(ctx context.Context, op Op, key string, newValu
 			})
 		}
 	}
-	return value, stats, nil
+	return stats, nil
+}
+
+// recoverKey recovers k's value from its response labels, unless the
+// server already rejected k.
+func (p *LBLProxy) recoverKey(k *roundKey, workers int) {
+	if k.err != nil {
+		return
+	}
+	k.out, k.err = p.recoverWorkers(p.labelGen(k), k.op, k.value, k.ct+1, k.labels, workers)
+}
+
+// eachResult walks an n-key round's response, calling fn with each
+// key's labels or, if the server rejected that key, its error text. A
+// one-key round's response is the bare label block — its rejection
+// arrives as the call's error — and an n-key response holds, per key, a
+// zero status byte and the labels, or a nonzero one and an error
+// string.
+func eachResult(resp []byte, n, labelLen int, fn func(i int, labels []byte, msg string)) error {
+	if n == 1 {
+		fn(0, resp, "")
+		return nil
+	}
+	r := wire.NewReader(resp)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		var labels []byte
+		var msg string
+		if r.Byte() != 0 {
+			if msg = r.String(); msg == "" {
+				msg = "unspecified server error"
+			}
+		} else {
+			labels = r.Raw(labelLen)
+		}
+		if r.Err() == nil {
+			fn(i, labels, msg)
+		}
+	}
+	if err := r.Finish(); err != nil {
+		return fmt.Errorf("%w: malformed batch response: %v", ErrTampered, err)
+	}
+	return nil
+}
+
+// parkRound returns the pendingRound key i of an ambiguous round
+// parks. req is the round's request writer when it was one frame: the
+// parked rounds then own its bytes, and the writer is never released.
+func parkRound(id uint64, req *wire.Writer, keys []roundKey, i int) *pendingRound {
+	pr := &pendingRound{id: id, n: len(keys), pos: i, op: keys[i].op, value: pendingValue(keys[i].op, keys[i].value)}
+	if req != nil {
+		pr.req = req.Bytes()
+	}
+	return pr
+}
+
+// sendRound builds keys' round at their counters and sends it as one
+// MsgLBLAccess call of k frames (see frames). A one-frame round is
+// built into a pooled writer, which sendRound returns for the caller to
+// release or to park for replay. A multi-frame round seals each frame
+// while the previous one is on the wire and returns no writer. build is
+// the time spent sealing; the rest of the call is wire and server time,
+// which a multi-frame round overlaps with sealing. A round that fails
+// before any frame is sent returns a *transport.NotSentError.
+func (p *LBLProxy) sendRound(ctx context.Context, root *trace.Span, id uint64, keys []roundKey) (resp []byte, req *wire.Writer, build time.Duration, err error) {
+	// The spans of a multi-frame round overlap: table_build ends when
+	// the last frame is sealed, rpc when the response lands — the gap
+	// between their ends is the pipeline's tail, visible per trace.
+	spBuild := root.Child("table_build")
+	defer spBuild.End()
+	k, per := p.cfg.frames(len(keys))
+	if k == 1 {
+		req = wire.GetWriter(p.cfg.RequestBytes(len(keys)))
+		build, err = p.buildFrames(req, keys, func([]byte) error { return nil })
+		spBuild.End()
+		if err != nil {
+			wire.PutWriter(req)
+			return nil, nil, build, &transport.NotSentError{Err: err}
+		}
+		spRPC := root.Child("rpc")
+		resp, err = p.client.CallContextID(trace.ContextWith(ctx, spRPC), id, MsgLBLAccess, req.Bytes())
+		spRPC.End()
+		return resp, req, build, err
+	}
+	spRPC := root.Child("rpc")
+	defer spRPC.End()
+	resp, err = p.client.CallStreamContextID(trace.ContextWith(ctx, spRPC), id, MsgLBLAccess,
+		func(send func([]byte) error) error {
+			// One pooled frame buffer, reused for every frame: the
+			// transport copies the payload before send returns, so the
+			// proxy holds one chunk of the round's tables at a time.
+			w := wire.GetWriter(16 + len(keys)*lblIDLen + per*p.cfg.groupLen())
+			defer wire.PutWriter(w)
+			sent := 0
+			var berr error
+			build, berr = p.buildFrames(w, keys, func(frame []byte) error {
+				if sent++; sent == k {
+					spBuild.End()
+				}
+				p.mx.streamChunks.Inc()
+				return send(frame)
+			})
+			return berr
+		})
+	if err == nil {
+		p.mx.streamRounds.Inc()
+	}
+	return resp, nil, build, err
+}
+
+// buildFrames seals keys' round into its k frames (steps 1.1–1.5 of
+// §5.2 for every key), handing each frame to emit as soon as it is
+// sealed. It returns the time spent sealing.
+func (p *LBLProxy) buildFrames(w *wire.Writer, keys []roundKey, emit func([]byte) error) (time.Duration, error) {
+	var build time.Duration
+	err := p.cfg.writeFrames(w, len(keys), func(w *wire.Writer) {
+		for i := range keys {
+			ek := p.prf.EncodeKey(keys[i].key)
+			w.Raw(ek[:])
+			rid := RangeOf(keys[i].key)
+			putClaim(w.Extend(lblClaimLen), rid, p.rangeEpoch(rid))
+		}
+	}, func(dst []byte, g0, g1 int) error {
+		t0 := time.Now()
+		err := p.sealGroups(dst, keys, g0, g1)
+		build += time.Since(t0)
+		return err
+	}, emit)
+	return build, err
 }
 
 // minGroupsPerWorker bounds the table-build and recovery fan-out:
@@ -590,69 +764,78 @@ func tableWorkers(groups int) int {
 	return w
 }
 
-// buildRequestInto encodes the MsgLBLAccess request for key at counter
-// ct into w (steps 1.1–1.5 of §5.2).
-func (p *LBLProxy) buildRequestInto(w *wire.Writer, op Op, key string, newValue []byte, ct uint64) error {
-	cfg := p.cfg
-	ek := p.prf.EncodeKey(key)
-	w.Raw(ek[:])
-	rid := RangeOf(key)
-	w.Uint32(rid)
-	w.Uint64(p.rangeEpoch(rid))
-	w.Byte(byte(cfg.Mode))
-	w.Uvarint(uint64(cfg.Groups()))
-	w.Uvarint(uint64(cfg.Mode.entryLen()))
-	return p.appendAccessTable(w, key, op, newValue, ct, tableWorkers(cfg.Groups()))
-}
-
-// buildRequest is the allocating form of buildRequestInto, used by the
-// cold paths (reconciliation probes, pending-round resolution) whose
-// requests may be retained indefinitely and so must not come from the
-// writer pool.
-func (p *LBLProxy) buildRequest(op Op, key string, newValue []byte, ct uint64) ([]byte, error) {
-	w := wire.NewWriter(p.cfg.RequestBytesPerAccess())
-	if err := p.buildRequestInto(w, op, key, newValue, ct); err != nil {
-		return nil, err
+// sealGroups seals the round's groups [g0, g1) — key i owns groups
+// i·ℓ/y up to (i+1)·ℓ/y — into dst. Table construction is the proxy's
+// dominant CPU cost (2·ℓ PRFs plus 2^y·ℓ/y seals per key, §6.3.3), so
+// it fans out across the keys the range touches and, when they are
+// fewer than the cores, across each key's groups.
+func (p *LBLProxy) sealGroups(dst []byte, keys []roundKey, g0, g1 int) error {
+	groups := p.cfg.Groups()
+	first, last := g0/groups, (g1-1)/groups
+	if first == last {
+		return p.sealSegment(dst, keys, first, g0, g1, tableWorkers(g1-g0))
 	}
-	return w.Bytes(), nil
+	n := last - first + 1
+	inner := max(1, runtime.GOMAXPROCS(0)/n)
+	errs := make([]error, n)
+	forEachBatched(n, func(j int) { errs[j] = p.sealSegment(dst, keys, first+j, g0, g1, inner) })
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// appendAccessTable appends key's encryption table for counter ct to w
-// (steps 1.2–1.5 of §5.2), building it in place in w's buffer.
-func (p *LBLProxy) appendAccessTable(w *wire.Writer, key string, op Op, newValue []byte, ct uint64, workers int) error {
-	return p.buildAccessTable(w.Extend(p.cfg.TableBytes()), key, op, newValue, ct, workers)
+// sealSegment seals key i's share of the round's groups [g0, g1) into
+// its place in dst, which holds exactly those groups.
+func (p *LBLProxy) sealSegment(dst []byte, keys []roundKey, i, g0, g1, workers int) error {
+	groups, gl := p.cfg.Groups(), p.cfg.groupLen()
+	a, b := max(g0, i*groups), min(g1, (i+1)*groups)
+	return p.sealKey(dst[(a-g0)*gl:(b-g0)*gl], &keys[i], a-i*groups, b-i*groups, workers)
 }
 
-// buildAccessTable fills table — exactly cfg.TableBytes() bytes — with
-// key's encryption table for counter ct, fanning group ranges out
+// labelGen returns k's label generator, building it on first use: one
+// PRF evaluation and AES key schedule serve every frame of k's table
+// and its label recovery.
+func (p *LBLProxy) labelGen(k *roundKey) *prf.LabelGen {
+	if k.gen == nil {
+		k.gen = p.prf.LabelGen(k.key)
+	}
+	return k.gen
+}
+
+// sealKey seals groups [a, b) of k's encryption table at counter k.ct
+// into dst, which holds exactly those groups, fanning group ranges out
 // across workers. Entry slots are fixed-size, so each worker seals
 // directly into its precomputed offsets; workers share nothing but the
 // read-only inputs, a cloned label generator each, and one lane each of
 // a seeded crypto-strength shuffle stream (see shuffle.go). The label
-// schedule and the entry-placement distribution are identical to the
-// sequential build, so the server-visible transcript distribution — and
-// with it the obliviousness argument — is unchanged. workers <= 1
-// builds inline, allocation-free.
-func (p *LBLProxy) buildAccessTable(table []byte, key string, op Op, newValue []byte, ct uint64, workers int) error {
-	groups := p.cfg.Groups()
-	gen := p.prf.LabelGen(key)
-	if workers > groups {
-		workers = groups
+// schedule and the entry-placement distribution are identical to a
+// sequential build of the whole table, so the server-visible
+// transcript distribution — and with it the obliviousness argument —
+// does not depend on the fan-out or the framing. workers <= 1 builds
+// inline, allocation-free.
+func (p *LBLProxy) sealKey(dst []byte, k *roundKey, a, b, workers int) error {
+	gen := p.labelGen(k)
+	n := b - a
+	if workers > n {
+		workers = n
 	}
 	if workers <= 1 {
-		return p.buildGroupRange(table, gen, newCryptoShuffler(), op, newValue, ct, 0, groups, 0)
+		return p.buildGroupRange(dst, gen, newCryptoShuffler(), k.op, k.value, k.ct, a, b, a)
 	}
 	seed := newShuffleSeed()
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for wk := 0; wk < workers; wk++ {
-		g0 := groups * wk / workers
-		g1 := groups * (wk + 1) / workers
+		lo := a + n*wk/workers
+		hi := a + n*(wk+1)/workers
 		wg.Add(1)
-		go func(wk, g0, g1 int) {
+		go func(wk, lo, hi int) {
 			defer wg.Done()
-			errs[wk] = p.buildGroupRange(table, gen.Clone(), seed.stream(uint32(wk)), op, newValue, ct, g0, g1, 0)
-		}(wk, g0, g1)
+			errs[wk] = p.buildGroupRange(dst, gen.Clone(), seed.stream(uint32(wk)), k.op, k.value, k.ct, lo, hi, a)
+		}(wk, lo, hi)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -666,9 +849,9 @@ func (p *LBLProxy) buildAccessTable(table []byte, key string, op Op, newValue []
 // buildGroupRange seals groups [g0, g1) of the table into their slots
 // (steps 1.2–1.5 of §5.2 for those groups). gen and shuf are owned by
 // the caller — one per worker — so the loop body allocates nothing.
-// table holds groups starting at absolute group gBase: full-table
-// builders pass 0, the streaming path passes its chunk's first group
-// so one chunk-sized buffer serves the whole table.
+// table holds groups starting at absolute group gBase — the first
+// group of the frame's share of the key — so one frame-sized buffer
+// serves a table that spans frames.
 func (p *LBLProxy) buildGroupRange(table []byte, gen *prf.LabelGen, shuf *cryptoShuffler, op Op, newValue []byte, ct uint64, g0, g1, gBase int) error {
 	cfg := p.cfg
 	y := cfg.Mode.Y()
@@ -732,234 +915,25 @@ func (p *LBLProxy) buildGroupRange(table []byte, gen *prf.LabelGen, shuf *crypto
 	return nil
 }
 
-// buildChunkGroups seals groups [g0, g1) into a chunk-local table
-// buffer (table[0] holds group g0), fanning out across workers like
-// buildAccessTable. Entry placement draws fresh crypto-random shuffle
-// streams per chunk; placements are independent and uniform per group
-// in every variant, so the transcript distribution is identical to the
-// monolithic build's.
-func (p *LBLProxy) buildChunkGroups(table []byte, gen *prf.LabelGen, op Op, newValue []byte, ct uint64, g0, g1 int) error {
-	n := g1 - g0
-	workers := tableWorkers(n)
-	if workers <= 1 {
-		return p.buildGroupRange(table, gen, newCryptoShuffler(), op, newValue, ct, g0, g1, g0)
-	}
-	seed := newShuffleSeed()
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		a := g0 + n*wk/workers
-		b := g0 + n*(wk+1)/workers
-		wg.Add(1)
-		go func(wk, a, b int) {
-			defer wg.Done()
-			errs[wk] = p.buildGroupRange(table, gen.Clone(), seed.stream(uint32(wk)), op, newValue, ct, a, b, g0)
-		}(wk, a, b)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// streamAccess performs one access over the chunked-streaming path
-// (MsgLBLAccessStream): the table is sealed chunk-by-chunk into one
-// pooled buffer and each chunk is written to the wire as soon as it is
-// sealed, so the server trial-decrypts chunk i while the proxy seals
-// chunk i+1 and the WAN carries both. Returns the response labels and
-// the time spent sealing (the build share of the wall time; the rest
-// is wire and server time the pipeline overlaps).
-func (p *LBLProxy) streamAccess(ctx context.Context, root *trace.Span, id uint64, op Op, key string, newValue []byte, ct uint64) ([]byte, time.Duration, error) {
-	cfg := p.cfg
-	groups := cfg.Groups()
-	nEntries := cfg.Mode.entries()
-	entryLen := cfg.Mode.entryLen()
-	cg := cfg.streamChunkGroups()
-	nChunks := cfg.streamChunks()
-	gen := p.prf.LabelGen(key)
-
-	// The spans deliberately overlap: table_build ends when the last
-	// chunk is sealed, rpc when the response lands — the gap between
-	// their ends is the pipeline's tail, visible per trace.
-	spBuild := root.Child("table_build")
-	buildEnded := false
-	endBuild := func() {
-		if !buildEnded {
-			buildEnded = true
-			spBuild.End()
-		}
-	}
-	defer endBuild()
-	spRPC := root.Child("rpc")
-	defer spRPC.End()
-
-	var buildTime time.Duration
-	resp, err := p.client.CallStreamContextID(trace.ContextWith(ctx, spRPC), id, MsgLBLAccessStream,
-		func(send func([]byte) error) error {
-			bw := wire.GetWriter(streamBeginSingleLen)
-			bw.Byte(wire.StreamBegin)
-			bw.Byte(wire.StreamSingle)
-			ek := p.prf.EncodeKey(key)
-			bw.Raw(ek[:])
-			rid := RangeOf(key)
-			putClaim(bw.Extend(lblClaimLen), rid, p.rangeEpoch(rid))
-			bw.Byte(byte(cfg.Mode))
-			bw.Uint32(uint32(groups))
-			bw.Uint32(uint32(entryLen))
-			bw.Uint32(uint32(cg))
-			bw.Uint32(uint32(nChunks))
-			serr := send(bw.Bytes())
-			wire.PutWriter(bw)
-			if serr != nil {
-				return serr
-			}
-			// One pooled chunk buffer, reused for every chunk: the
-			// transport copies the payload into its frame buffer before
-			// send returns, so peak proxy table memory per access is one
-			// chunk budget, not the full ℓ/y-group table.
-			cw := wire.GetWriter(wire.StreamChunkHeaderLen + cg*nEntries*entryLen)
-			defer wire.PutWriter(cw)
-			for i := 0; i < nChunks; i++ {
-				g0 := i * cg
-				g1 := g0 + cg
-				if g1 > groups {
-					g1 = groups
-				}
-				cw.Reset()
-				wire.PutStreamChunkHeader(cw, wire.StreamSingle, byte(cfg.Mode), uint32(groups), uint32(i), uint32(g1-g0))
-				t0 := time.Now()
-				if berr := p.buildChunkGroups(cw.Extend((g1-g0)*nEntries*entryLen), gen, op, newValue, ct, g0, g1); berr != nil {
-					return berr
-				}
-				buildTime += time.Since(t0)
-				if serr := send(cw.Bytes()); serr != nil {
-					return serr
-				}
-				p.mx.streamChunks.Inc()
-			}
-			endBuild()
-			ew := wire.GetWriter(wire.StreamEndLen)
-			wire.PutStreamEnd(ew, wire.StreamSingle, uint32(nChunks))
-			serr = send(ew.Bytes())
-			wire.PutWriter(ew)
-			return serr
-		})
-	if err == nil {
-		p.mx.streamRounds.Inc()
-	}
-	return resp, buildTime, err
-}
-
-// streamBatch performs one batched round over the chunked-streaming
-// path: whole per-key segments (key, claim, table) are sealed
-// chunk-by-chunk into one pooled buffer and shipped as they complete,
-// so the server decrypts the first keys while later tables are still
-// being garbled. Returns the batch response and the time spent
-// sealing.
-func (p *LBLProxy) streamBatch(ctx context.Context, root *trace.Span, id uint64, ops []BatchOp, idxs []int, entries []*counterEntry, inner int) ([]byte, time.Duration, error) {
-	cfg := p.cfg
-	groups := cfg.Groups()
-	segLen := prf.Size + lblClaimLen + cfg.TableBytes()
-	n := len(idxs)
-	perChunk, nChunks := cfg.batchStreamLayout(n)
-
-	spBuild := root.Child("table_build")
-	buildEnded := false
-	endBuild := func() {
-		if !buildEnded {
-			buildEnded = true
-			spBuild.End()
-		}
-	}
-	defer endBuild()
-	spRPC := root.Child("rpc")
-	defer spRPC.End()
-
-	var buildTime time.Duration
-	resp, err := p.client.CallStreamContextID(trace.ContextWith(ctx, spRPC), id, MsgLBLAccessStream,
-		func(send func([]byte) error) error {
-			bw := wire.GetWriter(streamBeginBatchLen)
-			bw.Byte(wire.StreamBegin)
-			bw.Byte(wire.StreamBatch)
-			bw.Byte(byte(cfg.Mode))
-			bw.Uint32(uint32(groups))
-			bw.Uint32(uint32(cfg.Mode.entryLen()))
-			bw.Uint32(uint32(n))
-			bw.Uint32(uint32(perChunk))
-			bw.Uint32(uint32(nChunks))
-			serr := send(bw.Bytes())
-			wire.PutWriter(bw)
-			if serr != nil {
-				return serr
-			}
-			cw := wire.GetWriter(wire.StreamChunkHeaderLen + perChunk*segLen)
-			defer wire.PutWriter(cw)
-			buildErrs := make([]error, perChunk)
-			for c := 0; c < nChunks; c++ {
-				k0 := c * perChunk
-				k1 := k0 + perChunk
-				if k1 > n {
-					k1 = n
-				}
-				cw.Reset()
-				wire.PutStreamChunkHeader(cw, wire.StreamBatch, byte(cfg.Mode), uint32(groups), uint32(c), uint32(k1-k0))
-				segs := cw.Extend((k1 - k0) * segLen)
-				t0 := time.Now()
-				forEachBatched(k1-k0, func(j int) {
-					op := ops[idxs[k0+j]]
-					seg := segs[j*segLen : (j+1)*segLen]
-					ek := p.prf.EncodeKey(op.Key)
-					copy(seg, ek[:])
-					rid := RangeOf(op.Key)
-					putClaim(seg[prf.Size:], rid, p.rangeEpoch(rid))
-					buildErrs[j] = p.buildAccessTable(seg[prf.Size+lblClaimLen:], op.Key, op.Op, op.Value, entries[k0+j].ct, inner)
-				})
-				buildTime += time.Since(t0)
-				for _, berr := range buildErrs[:k1-k0] {
-					if berr != nil {
-						return berr
-					}
-				}
-				if serr := send(cw.Bytes()); serr != nil {
-					return serr
-				}
-				p.mx.streamChunks.Inc()
-			}
-			endBuild()
-			ew := wire.GetWriter(wire.StreamEndLen)
-			wire.PutStreamEnd(ew, wire.StreamBatch, uint32(nChunks))
-			serr = send(ew.Bytes())
-			wire.PutWriter(ew)
-			return serr
-		})
-	if err == nil {
-		p.mx.streamRounds.Inc()
-	}
-	return resp, buildTime, err
-}
-
 // recover maps the server's returned labels back to plaintext bits
 // using the counter-(ct+1) label schedule, and performs the §5.4
 // integrity check: every returned label must be one the proxy could
 // have generated.
 func (p *LBLProxy) recover(op Op, key string, newValue []byte, ctNew uint64, resp []byte) ([]byte, error) {
-	return p.recoverWorkers(op, key, newValue, ctNew, resp, tableWorkers(p.cfg.Groups()))
+	return p.recoverWorkers(p.prf.LabelGen(key), op, newValue, ctNew, resp, tableWorkers(p.cfg.Groups()))
 }
 
-// recoverWorkers is recover with an explicit fan-out: group ranges are
-// recovered across workers, each with a cloned label generator. Ranges
+// recoverWorkers is recover with the key's label generator and an
+// explicit fan-out: group ranges are recovered across workers, each
+// with a clone of gen. Ranges
 // are aligned to whole value bytes because setGroupBits read-modify-
 // writes its byte — two workers must never share one.
-func (p *LBLProxy) recoverWorkers(op Op, key string, newValue []byte, ctNew uint64, resp []byte, workers int) ([]byte, error) {
+func (p *LBLProxy) recoverWorkers(gen *prf.LabelGen, op Op, newValue []byte, ctNew uint64, resp []byte, workers int) ([]byte, error) {
 	cfg := p.cfg
 	groups := cfg.Groups()
 	if len(resp) != groups*prf.Size {
 		return nil, fmt.Errorf("%w: response has %d bytes, want %d", ErrTampered, len(resp), groups*prf.Size)
 	}
-	gen := p.prf.LabelGen(key)
 	value := make([]byte, cfg.ValueSize)
 	if workers > cfg.ValueSize {
 		workers = cfg.ValueSize
@@ -1031,14 +1005,14 @@ type BatchOp struct {
 	Value []byte
 }
 
-// maxBatchFrameBytes caps one MsgLBLAccessBatch payload, leaving ample
+// maxBatchFrameBytes caps the request of a one-frame round, leaving ample
 // headroom under transport.MaxFrameSize; larger batches are split into
 // several RPCs transparently.
 const maxBatchFrameBytes = 48 << 20
 
 // AccessBatch performs many oblivious accesses in (normally) one round
 // trip: it acquires every key's counter, builds all encryption tables,
-// sends them in a single MsgLBLAccessBatch frame, and recovers every
+// sends them as one MsgLBLAccess round, and recovers every
 // value from the single response (§5.2 amortized; see DESIGN.md).
 //
 // Results are returned in input order; reads yield the stored value,
@@ -1145,12 +1119,12 @@ func (p *LBLProxy) accessBatchIndices(ctx context.Context, ops []BatchOp, includ
 		waves[w] = append(waves[w], i)
 	}
 
-	// Monolithic batches must fit one request frame, so the per-call cap
-	// derives from the per-key segment (key, claim, table) size. With a
-	// stream chunk budget configured, each chunk travels in its own
-	// frame, so the binding frame is the single response — a status byte
-	// plus a label block per key — and large-value batches no longer
-	// split into extra waves just because their tables would not share
+	// A one-frame round must fit one request frame, so the per-call cap
+	// derives from the per-key share (identity and table) of it. With a
+	// stream chunk budget configured, the tables travel in chunk-sized
+	// frames, so the binding frame is the single response — a status
+	// byte plus a label block per key — and large-value batches do not
+	// split into extra rounds just because their tables would not share
 	// one request frame.
 	var maxPerCall int
 	if p.cfg.StreamChunkBytes > 0 {
@@ -1159,7 +1133,7 @@ func (p *LBLProxy) accessBatchIndices(ctx context.Context, ops []BatchOp, includ
 			maxPerCall = maxBatchAccesses
 		}
 	} else {
-		maxPerCall = (maxBatchFrameBytes - 32) / (prf.Size + lblClaimLen + p.cfg.TableBytes())
+		maxPerCall = (maxBatchFrameBytes - 32) / (lblIDLen + p.cfg.TableBytes())
 	}
 	if maxPerCall < 1 {
 		maxPerCall = 1
@@ -1175,7 +1149,15 @@ func (p *LBLProxy) accessBatchIndices(ctx context.Context, ops []BatchOp, includ
 			if end > len(wave) {
 				end = len(wave)
 			}
-			st, err := p.accessBatchChunk(ctx, ops, wave[start:end], values, errs)
+			chunk := wave[start:end]
+			keys := make([]roundKey, len(chunk))
+			for i, idx := range chunk {
+				keys[i] = roundKey{op: ops[idx].Op, key: ops[idx].Key, value: ops[idx].Value}
+			}
+			st, err := p.round(ctx, false, keys)
+			for i, idx := range chunk {
+				values[idx], errs[idx] = keys[i].out, keys[i].err
+			}
 			stats.PrepBytes += st.PrepBytes
 			stats.RespBytes += st.RespBytes
 			if err != nil && firstErr == nil {
@@ -1227,241 +1209,4 @@ func forEachBatched(n int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// accessBatchChunk performs one MsgLBLAccessBatch RPC for the accesses
-// ops[idxs...], whose keys are unique and sorted. It fills values at
-// the original indices and commits the counter of every access the
-// server completed. Per-access failures are recorded in errs at the
-// original indices; a failure before the frame is sent (or a
-// transport failure of the frame itself) fails every access in the
-// chunk, since none of them ran.
-func (p *LBLProxy) accessBatchChunk(ctx context.Context, ops []BatchOp, idxs []int, values [][]byte, errs []error) (AccessStats, error) {
-	var stats AccessStats
-	root, ctx := p.traceStart(ctx, "lbl_access_batch")
-	defer root.End()
-	cfg := p.cfg
-	groups := cfg.Groups()
-	failChunk := func(err error) {
-		for _, idx := range idxs {
-			if errs[idx] == nil {
-				errs[idx] = err
-			}
-		}
-	}
-
-	sw := obs.StartWatch(p.mx.enabled)
-	spAcq := root.Child("counter_acquire")
-	entries := make([]*counterEntry, len(idxs))
-	for i, idx := range idxs {
-		entries[i] = p.counters.acquire(ops[idx].Key)
-	}
-	defer func() {
-		for _, e := range entries {
-			e.mu.Unlock()
-		}
-	}()
-	// Settle any ambiguous earlier rounds before building tables: a
-	// resolution can advance a key's counter, and the tables below must
-	// be built at the settled values. An unresolvable round fails the
-	// whole chunk — no frame was sent, so no counter state changed.
-	for i, idx := range idxs {
-		if entries[i].pending != nil {
-			if err := p.resolvePending(ops[idx].Key, entries[i]); err != nil {
-				failChunk(err)
-				return stats, err
-			}
-		}
-	}
-	spAcq.End()
-	sw.Lap(p.mx.batchAcquire)
-	p.mx.batchKeys.Add(int64(len(idxs)))
-
-	// Dead callers get no tables: drop the chunk before garbling
-	// anything if the propagated deadline has already passed — no frame
-	// was sent, so this is a definite non-execution for every key.
-	if ctx.Err() != nil {
-		failChunk(errDeadlineBeforeBuild)
-		return stats, errDeadlineBeforeBuild
-	}
-
-	segLen := prf.Size + lblClaimLen + cfg.TableBytes()
-	inner := runtime.GOMAXPROCS(0) / len(idxs)
-	if inner < 1 {
-		inner = 1
-	}
-
-	var resp []byte
-	var req []byte
-	var id uint64
-	var err error
-	if cfg.batchStreaming(len(idxs)) {
-		// Chunked-streaming path: segments are sealed and shipped
-		// chunk-by-chunk, so the server starts decrypting the first keys
-		// while later tables are still being garbled.
-		id = p.client.NextID()
-		var db time.Duration
-		resp, db, err = p.streamBatch(ctx, root, id, ops, idxs, entries, inner)
-		wall := sw.Lap(nil)
-		dr := wall - db
-		if dr < 0 {
-			dr = 0
-		}
-		if p.mx.enabled {
-			p.mx.batchBuild.Observe(db)
-			p.mx.batchRPC.Observe(dr)
-		}
-		_, nChunks := cfg.batchStreamLayout(len(idxs))
-		stats.PrepBytes = streamBeginBatchLen + nChunks*wire.StreamChunkHeaderLen +
-			len(idxs)*segLen + wire.StreamEndLen
-	} else {
-		// Build every key's ek‖table segment in parallel, sealing directly
-		// into the frame: segments are fixed-size, so each builder owns a
-		// precomputed byte range of the pooled request buffer — no per-key
-		// writers, no splice pass. Table construction is the proxy's
-		// dominant CPU cost (2·ℓ PRFs plus 2^y·ℓ/y seals per key, §6.3.3),
-		// so it must not serialize behind a single core when the concurrent
-		// fallback would not. The batch already fans out across keys; inner
-		// per-table workers only multiply up to the core count when the
-		// batch is smaller than the machine.
-		spBuild := root.Child("table_build")
-		w := wire.GetWriter(cfg.BatchRequestBytes(len(idxs)))
-		// Exactly-once release: every exit funnels through this flag, so
-		// no error path can double-return the buffer or leak it. The
-		// parked-rounds path below keeps the bytes by setting the flag
-		// without putting.
-		released := false
-		release := func(keep bool) {
-			if !released {
-				released = true
-				if !keep {
-					wire.PutWriter(w)
-				}
-			}
-		}
-		defer release(false)
-		w.Byte(byte(cfg.Mode))
-		w.Uvarint(uint64(groups))
-		w.Uvarint(uint64(cfg.Mode.entryLen()))
-		w.Uvarint(uint64(len(idxs)))
-		segs := w.Extend(len(idxs) * segLen)
-		buildErrs := make([]error, len(idxs))
-		forEachBatched(len(idxs), func(i int) {
-			op := ops[idxs[i]]
-			seg := segs[i*segLen : (i+1)*segLen]
-			ek := p.prf.EncodeKey(op.Key)
-			copy(seg, ek[:])
-			rid := RangeOf(op.Key)
-			putClaim(seg[prf.Size:], rid, p.rangeEpoch(rid))
-			buildErrs[i] = p.buildAccessTable(seg[prf.Size+lblClaimLen:], op.Key, op.Op, op.Value, entries[i].ct, inner)
-		})
-		for _, berr := range buildErrs {
-			if berr != nil {
-				spBuild.End()
-				failChunk(berr)
-				return stats, berr
-			}
-		}
-		spBuild.End()
-		sw.Lap(p.mx.batchBuild)
-		stats.PrepBytes = w.Len()
-
-		id = p.client.NextID()
-		req = w.Bytes()
-		spRPC := root.Child("rpc")
-		resp, err = p.client.CallContextID(trace.ContextWith(ctx, spRPC), id, MsgLBLAccessBatch, req)
-		spRPC.End()
-		if transport.Ambiguous(err) {
-			release(true) // the parked rounds below own the bytes
-		} else {
-			release(false)
-		}
-		if err == nil {
-			sw.Lap(p.mx.batchRPC)
-		}
-	}
-	if err != nil {
-		if transport.Ambiguous(err) {
-			// The whole chunk is ambiguous. Park the same round on every
-			// key; each key settles its own slice of the outcome on its
-			// next access (replays of one id dedup to a single execution
-			// server-side). Monolithic rounds share the retained request
-			// bytes; streamed rounds park none — the server applies their
-			// chunks incrementally, so resolution probes each key
-			// individually instead of replaying bytes (pending.go).
-			for i, e := range entries {
-				op := ops[idxs[i]]
-				e.pending = &pendingRound{id: id, msgType: MsgLBLAccessBatch, req: req,
-					batch: true, pos: i, op: op.Op, value: pendingValue(op.Op, op.Value)}
-			}
-			p.mx.pendingSaved.Add(int64(len(entries)))
-			failChunk(err)
-			return stats, err
-		}
-		failChunk(err)
-		return stats, err
-	}
-	stats.RespBytes = len(resp)
-
-	// First pass, sequential: walk the variable-length response to
-	// slice out each access's labels or error.
-	r := wire.NewReader(resp)
-	labelSlices := make([][]byte, len(idxs))
-	remoteMsgs := make([]string, len(idxs))
-	failed := make([]bool, len(idxs))
-	for i := range idxs {
-		if status := r.Byte(); status != 0 {
-			failed[i] = true
-			remoteMsgs[i] = r.String()
-			continue
-		}
-		labelSlices[i] = r.Raw(groups * prf.Size)
-		if r.Err() != nil {
-			break // truncated response; reported via Finish below
-		}
-	}
-	if err := r.Finish(); err != nil {
-		err = fmt.Errorf("%w: malformed batch response: %v", ErrTampered, err)
-		failChunk(err)
-		return stats, err
-	}
-
-	// Second pass, parallel: recover each value from its labels (2^y·ℓ/y
-	// PRF comparisons per key in the worst case).
-	spRec := root.Child("label_recover")
-	recovered := make([][]byte, len(idxs))
-	recoverErrs := make([]error, len(idxs))
-	forEachBatched(len(idxs), func(i int) {
-		if failed[i] {
-			return
-		}
-		op := ops[idxs[i]]
-		recovered[i], recoverErrs[i] = p.recoverWorkers(op.Op, op.Key, op.Value, entries[i].ct+1, labelSlices[i], inner)
-	})
-	spRec.End()
-	sw.Lap(p.mx.batchRecover)
-
-	var firstErr error
-	for i, idx := range idxs {
-		op := ops[idx]
-		if failed[i] {
-			// Per-key failure: the server left this record untouched,
-			// so the counter must not advance.
-			errs[idx] = fmt.Errorf("core: batch access %q: %w", op.Key, &transport.RemoteError{Msg: remoteMsgs[i]})
-			if firstErr == nil {
-				firstErr = errs[idx]
-			}
-			continue
-		}
-		if recoverErrs[i] != nil {
-			errs[idx] = fmt.Errorf("core: batch access %q: %w", op.Key, recoverErrs[i])
-			if firstErr == nil {
-				firstErr = errs[idx]
-			}
-			continue
-		}
-		entries[i].ct++ // commit only after a successful round
-		values[idx] = recovered[i]
-	}
-	return stats, firstErr
 }

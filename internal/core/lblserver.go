@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -53,11 +52,11 @@ func NewLBLServer(store *kvstore.Store) *LBLServer {
 	return &LBLServer{store: store}
 }
 
-// Register installs the LBL access handlers on ts.
+// Register installs the LBL access handlers on ts. Every round, of any
+// key count and frame count, is a MsgLBLAccess; MsgLBLAccessBatch and
+// MsgLBLAccessStream are retired numbers with no handler.
 func (s *LBLServer) Register(ts *transport.Server) {
 	ts.Handle(MsgLBLAccess, s.handleAccess)
-	ts.Handle(MsgLBLAccessBatch, s.handleAccessBatch)
-	ts.Handle(MsgLBLAccessStream, s.handleAccessStream)
 	ts.Handle(MsgEpochClaim, s.handleEpochClaim)
 }
 
@@ -108,30 +107,18 @@ type tableGeometry struct {
 	nEntries int
 }
 
-func (g tableGeometry) tableBytes() int { return g.groups * g.nEntries * g.entryLen }
+// groupLen is the sealed size of one label group.
+func (g tableGeometry) groupLen() int { return g.nEntries * g.entryLen }
 
-// readGeometry consumes and validates the (mode, groups, entryLen)
-// header shared by MsgLBLAccess and MsgLBLAccessBatch.
+func (g tableGeometry) tableBytes() int { return g.groups * g.groupLen() }
+
+// readGeometry consumes and validates a head's (mode, groups, entryLen)
+// fields.
 func readGeometry(r *wire.Reader) (tableGeometry, error) {
 	var g tableGeometry
 	g.mode = LBLMode(r.Byte())
 	g.groups = int(r.Uvarint())
 	g.entryLen = int(r.Uvarint())
-	if err := r.Err(); err != nil {
-		return g, err
-	}
-	err := g.validate()
-	return g, err
-}
-
-// readStreamGeometry is readGeometry for stream begin frames, whose
-// geometry fields are fixed-width u32s (wire/stream.go) so begin-frame
-// lengths are class-invariant.
-func readStreamGeometry(r *wire.Reader) (tableGeometry, error) {
-	var g tableGeometry
-	g.mode = LBLMode(r.Byte())
-	g.groups = int(r.Uint32())
-	g.entryLen = int(r.Uint32())
 	if err := r.Err(); err != nil {
 		return g, err
 	}
@@ -220,9 +207,9 @@ var recPool = sync.Pool{New: func() any { return new([]byte) }}
 // table is the full table, absolutely indexed. Returns the number of
 // authenticated decryptions attempted; a group none of whose entries
 // opens yields a staleTableMarker error — fencing proof for the
-// proxy's ambiguous-round resolution. Shared by the monolithic
-// handlers (whole-table ranges inside the store update) and the
-// streaming handlers (one chunk's range per arriving frame).
+// proxy's ambiguous-round resolution. Shared by the install (whole
+// tables inside the store update) and spanning keys (one frame's range
+// as it lands).
 func decryptRange(geo tableGeometry, rec *lblRecord, table []byte, g0, g1 int, newLabels, newDbits []byte) (int64, error) {
 	mode, entryLen, nEntries := geo.mode, geo.entryLen, geo.nEntries
 	var attempts int64
@@ -269,21 +256,27 @@ func decryptRange(geo tableGeometry, rec *lblRecord, table []byte, g0, g1 int, n
 	return attempts, nil
 }
 
-// accessOne executes steps 2.1–2.2 of §5.2 for one key: atomically
-// decrypt the table entries the stored labels open and install the
-// recovered new labels. The new labels are written to labelsOut, which
-// must be groups × prf.Size bytes and is owned by the caller — batch
-// handlers point workers at disjoint ranges of one response-sized
-// buffer.
-func (s *LBLServer) accessOne(encKey string, geo tableGeometry, table, labelsOut []byte) error {
+// accessOne installs one key's table: atomically, inside the store
+// update, it recovers the new labels the stored record opens (steps
+// 2.1–2.2 of §5.2) and installs them, writing them to labelsOut too —
+// groups × prf.Size bytes owned by the caller, so a round's keys share
+// one response-sized buffer. The labels come from span when its table
+// was decrypted chunk by chunk against a snapshot the record still
+// equals; otherwise — every one-frame table, or a record that moved
+// since the snapshot — table is trial-decrypted against the current
+// record here.
+func (s *LBLServer) accessOne(encKey string, geo tableGeometry, table, labelsOut []byte, span *spanKey) error {
 	if s.mx.enabled {
 		defer s.mx.access.Since(time.Now())
 	}
 	mode, groups := geo.mode, geo.groups
 	// Trial decryptions are counted locally and published once per
 	// access: a per-entry atomic add is a cross-core cacheline ping-pong
-	// when batch workers run in parallel.
+	// when a round's keys are applied in parallel.
 	var attempts int64
+	if span != nil {
+		attempts = span.attempts
+	}
 	bp := recPool.Get().(*[]byte)
 	applied := false
 	err := s.store.Update(encKey, func(old []byte) ([]byte, error) {
@@ -304,10 +297,15 @@ func (s *LBLServer) accessOne(encKey string, geo tableGeometry, table, labelsOut
 		if mode.hasDbits() {
 			newDbits = newRec[1+groups*prf.Size:]
 		}
-		a, derr := decryptRange(geo, rec, table, 0, groups, newLabels, newDbits)
-		attempts += a
-		if derr != nil {
-			return nil, derr
+		if span != nil && bytes.Equal(old, span.snap) {
+			copy(newLabels, span.labels)
+			copy(newDbits, span.dbits)
+		} else {
+			a, derr := decryptRange(geo, rec, table, 0, groups, newLabels, newDbits)
+			attempts += a
+			if derr != nil {
+				return nil, derr
+			}
 		}
 		copy(labelsOut, newLabels)
 		// Hand the store the new record; the displaced old slice is
@@ -334,283 +332,254 @@ func (s *LBLServer) accessOne(encKey string, geo tableGeometry, table, labelsOut
 	return nil
 }
 
-func (s *LBLServer) handleAccess(ctx context.Context, payload []byte) ([]byte, error) {
-	r := wire.NewReader(payload)
-	encKey := r.Raw(prf.Size)
-	claim := r.Raw(lblClaimLen)
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	geo, err := readGeometry(r)
-	if err != nil {
-		return nil, err
-	}
-	table := r.Raw(geo.tableBytes())
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if err := r.Finish(); err != nil {
-		return nil, err
-	}
-	// Expired-on-arrival rounds are dropped before the fence and before
-	// any decryption: nobody is waiting for the answer.
-	if err := s.checkBudget(ctx); err != nil {
-		return nil, err
-	}
-	// The ownership fence runs before any record work: a fenced round
-	// must leave the store untouched (epoch.go).
-	if err := s.checkEpoch(readClaim(claim)); err != nil {
-		return nil, err
-	}
-	sp := trace.StartChild(ctx, "server_decrypt")
-	defer sp.End()
-	// The response is retained by the transport's at-most-once dedup
-	// cache, so it must be freshly allocated, never pooled.
-	labels := make([]byte, geo.groups*prf.Size)
-	if err := s.accessOne(string(encKey), geo, table, labels); err != nil {
-		return nil, err
-	}
-	return labels, nil
-}
-
-// maxBatchAccesses bounds one batch frame's key count, limiting the
-// memory a single request can pin.
+// maxBatchAccesses bounds one round's key count, limiting the memory a
+// single request can pin.
 const maxBatchAccesses = 1 << 16
 
-// handleAccessBatch serves MsgLBLAccessBatch: one geometry header, then
-// n (encoded key, table) pairs. Accesses fan out across the kvstore's
-// shards in parallel and every access is answered in the one response
-// frame — a status byte per key, then the response labels (or an error
-// string). Work and response shape depend only on the table geometry
-// and key count, never on operation types, so a batch leaks exactly as
-// much as n single accesses: nothing beyond "n objects were accessed".
-func (s *LBLServer) handleAccessBatch(ctx context.Context, payload []byte) ([]byte, error) {
+// An lblHead is a parsed round head (see LBLConfig.writeFrames).
+type lblHead struct {
+	geo  tableGeometry
+	n, k int
+	ids  []byte // n × (encoded key ‖ ownership claim)
+	body []byte // the head's sealed groups
+}
+
+// readHead parses and validates a round's head frame.
+func readHead(payload []byte) (lblHead, error) {
+	var h lblHead
 	r := wire.NewReader(payload)
 	geo, err := readGeometry(r)
 	if err != nil {
-		return nil, err
+		return h, err
 	}
-	n := int(r.Uvarint())
+	n, k := r.Uvarint(), r.Uvarint()
 	if err := r.Err(); err != nil {
-		return nil, err
+		return h, err
 	}
-	if n <= 0 || n > maxBatchAccesses {
-		return nil, fmt.Errorf("core: implausible batch size %d", n)
+	if n == 0 || n > maxBatchAccesses {
+		return h, fmt.Errorf("core: implausible batch size %d", n)
+	}
+	total := int(n) * geo.groups
+	// The response carries every key's labels in one frame, which also
+	// bounds what a head can make the server allocate before the
+	// tables it announces have arrived.
+	if total*prf.Size+int(n) > transport.MaxFrameSize {
+		return h, fmt.Errorf("core: labels of %d keys exceed one response frame", n)
+	}
+	if k == 0 || k > uint64(total) || (int(k)-1)*chunkGroups(total, int(k)) >= total {
+		return h, fmt.Errorf("core: implausible frame count %d for %d groups", k, total)
+	}
+	h = lblHead{geo: geo, n: int(n), k: int(k)}
+	h.ids = r.Raw(h.n * lblIDLen)
+	h.body = r.Raw(chunkGroups(total, h.k) * geo.groupLen())
+	return h, r.Finish()
+}
+
+// readContinuation parses a continuation frame: its geometry, group
+// count and sealed groups.
+func readContinuation(payload []byte) (geo tableGeometry, count int, body []byte, err error) {
+	r := wire.NewReader(payload)
+	if tag := r.Byte(); tag != lblContinuation {
+		return geo, 0, nil, fmt.Errorf("core: frame opens with %#x, not a continuation", tag)
+	}
+	geo.mode = LBLMode(r.Byte())
+	geo.groups = int(r.Uvarint())
+	geo.entryLen = geo.mode.entryLen()
+	c := r.Uvarint()
+	if err := r.Err(); err != nil {
+		return geo, 0, nil, err
+	}
+	if err := geo.validate(); err != nil {
+		return geo, 0, nil, err
+	}
+	if c == 0 || c > uint64(r.Remaining()/geo.groupLen()) {
+		return geo, 0, nil, fmt.Errorf("core: continuation of %d groups in %d bytes", c, r.Remaining())
+	}
+	count = int(c)
+	body = r.Raw(count * geo.groupLen())
+	return geo, count, body, r.Finish()
+}
+
+// handleAccess serves MsgLBLAccess: one round of n ≥ 1 keys whose
+// tables arrive in k ≥ 1 frames, the head as the payload and the k−1
+// continuations through the transport's StreamReader. The one response
+// answers every key: for n = 1 the bare label block, or the key's
+// rejection as the handler's error; for n > 1 a status byte per key,
+// then its labels or an error string. Work and response shape depend
+// only on the geometry, n and k, never on operation types, so a round
+// leaks exactly as much as n single accesses: nothing beyond "n objects
+// were accessed".
+func (s *LBLServer) handleAccess(ctx context.Context, payload []byte) ([]byte, error) {
+	h, err := readHead(payload)
+	if err != nil {
+		return nil, err
 	}
 	sp := trace.StartChild(ctx, "server_decrypt")
 	defer sp.End()
-	keys := make([]string, n)
-	claims := make([][]byte, n)
-	tables := make([][]byte, n)
-	for i := 0; i < n; i++ {
-		keys[i] = string(r.Raw(prf.Size))
-		claims[i] = r.Raw(lblClaimLen)
-		tables[i] = r.Raw(geo.tableBytes())
+	stride := h.geo.groups * prf.Size
+	// The response is retained by the transport's at-most-once dedup
+	// cache, so it must be freshly allocated, never pooled.
+	labels := make([]byte, h.n*stride)
+	errs := make([]error, h.n)
+	s.applyRound(ctx, h, labels, errs)
+	if h.n == 1 {
+		if errs[0] != nil {
+			return nil, errs[0]
+		}
+		return labels, nil
 	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if err := r.Finish(); err != nil {
-		return nil, err
-	}
-
-	// One label buffer for the whole batch: workers write into disjoint
-	// per-key ranges, so the fan-out costs one allocation rather than n.
-	stride := geo.groups * prf.Size
-	labelsBuf := make([]byte, n*stride)
-	errs := make([]error, n)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				// Per-key budget check: the batch's remaining deadline is
-				// re-tested before every key's decryption, so a batch that
-				// expires mid-flight stops burning trial decryptions on
-				// keys whose answers nobody will read.
-				if err := s.checkBudget(ctx); err != nil {
-					errs[i] = err
-					continue
-				}
-				// Per-key fence: one stale-epoch access must not fail
-				// its batch mates, so the fence is a per-key status like
-				// any other access error.
-				if err := s.checkEpoch(readClaim(claims[i])); err != nil {
-					errs[i] = err
-					continue
-				}
-				errs[i] = s.accessOne(keys[i], geo, tables[i], labelsBuf[i*stride:(i+1)*stride])
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Like handleAccess, the assembled response is retained by the
-	// transport's dedup cache — not poolable.
-	out := wire.NewWriter(n * (1 + stride))
-	for i := range errs {
-		if errs[i] != nil {
+	out := wire.NewWriter(h.n * (1 + stride))
+	for i, err := range errs {
+		if err != nil {
 			out.Byte(1)
-			out.String(errs[i].Error())
+			out.String(err.Error())
 			continue
 		}
 		out.Byte(0)
-		out.Raw(labelsBuf[i*stride : (i+1)*stride])
+		out.Raw(labels[i*stride : (i+1)*stride])
 	}
 	return out.Bytes(), nil
 }
 
-// streamAbortMarker tags rejections of a chunked stream that died or
-// misbehaved before completing: the record (or, for a batch, the keys
-// in chunks that never arrived) was left untouched. Constant text like
-// the other rejection markers — and deliberately free of the
+// streamAbortMarker tags rejections of keys whose frames never arrived
+// or arrived malformed: the record was left untouched. Constant text
+// like the other rejection markers — and deliberately free of the
 // staleness, fence, and expiry markers, so the proxy's ambiguous-round
-// resolution classifies an aborted stream as a definite rejection
-// rather than proof of execution.
+// resolution classifies an aborted key as a definite rejection rather
+// than proof of execution.
 const streamAbortMarker = "stream aborted before completion"
 
-// handleAccessStream serves MsgLBLAccessStream: the begin frame
-// arrives as the handler payload, the chunk and end frames through the
-// transport's StreamReader. The logical round — and its single
-// response, dedup entry, deadline budget, and trace — is exactly a
-// monolithic access's; only the request arrival is incremental.
-func (s *LBLServer) handleAccessStream(ctx context.Context, payload []byte) ([]byte, error) {
-	sr := transport.StreamFrom(ctx)
-	if sr == nil {
-		return nil, errors.New("core: " + streamAbortMarker + ": no stream attached")
+// applyRound applies a round's keys as their frames land, writing key
+// i's new labels to labels[i·groups·prf.Size:] or its rejection to
+// errs[i]. Keys whose tables sit wholly in one frame are applied
+// together as that frame lands, fanned out across the kvstore's shards,
+// so the first keys' decryptions overlap the later frames' garbling and
+// wire time. A key whose table spans frames is trial-decrypted against
+// a snapshot of its record as each of its frames lands, and installed
+// once its last group arrives (accessOne). Keys are applied in order,
+// so at most one spanning key is in progress: the server buffers at
+// most one table per round beyond the frame in hand.
+func (s *LBLServer) applyRound(ctx context.Context, h lblHead, labels []byte, errs []error) {
+	groups, gl, stride := h.geo.groups, h.geo.groupLen(), h.geo.groups*prf.Size
+	total := h.n * groups
+	per := chunkGroups(total, h.k)
+	var sr *transport.StreamReader
+	if h.k > 1 {
+		sr = transport.StreamFrom(ctx)
 	}
-	r := wire.NewReader(payload)
-	if kind := r.Byte(); kind != wire.StreamBegin {
-		return nil, fmt.Errorf("core: stream request opens with segment kind %d", kind)
-	}
-	switch sub := r.Byte(); sub {
-	case wire.StreamSingle:
-		return s.streamAccessOne(ctx, r, sr)
-	case wire.StreamBatch:
-		return s.streamAccessBatch(ctx, r, sr)
-	default:
-		return nil, fmt.Errorf("core: unknown stream sub-type %d", sub)
-	}
-}
-
-// nextStreamChunk reads and validates one chunk segment: correct
-// sub-type, geometry, position, and element count, with a body of
-// exactly wantCount × elemLen bytes. A read failure is an abort (the
-// stream died mid-flight) unless the handler's own deadline expired.
-func (s *LBLServer) nextStreamChunk(ctx context.Context, sr *transport.StreamReader, wantSub byte, geo tableGeometry, wantIndex, wantCount, elemLen int) ([]byte, error) {
-	seg, err := sr.Next(ctx)
-	if err != nil {
-		if ctx.Err() != nil {
-			s.expiredRounds.Add(1)
-			return nil, errExpiredRound
+	var span *spanKey // the key whose table spans frames, while in progress
+	body := h.body
+	for f := 0; f < h.k; f++ {
+		g0 := f * per
+		g1 := min(g0+per, total)
+		if f > 0 {
+			var err error
+			if body, err = s.nextFrame(ctx, sr, h.geo, g1-g0); err != nil {
+				// No more frames will arrive, or this one is malformed:
+				// every key not yet applied is rejected, its record
+				// untouched.
+				for i := g0 / groups; i < h.n; i++ {
+					if errs[i] == nil {
+						errs[i] = err
+					}
+				}
+				return
+			}
 		}
-		return nil, fmt.Errorf("core: %s: %v", streamAbortMarker, err)
-	}
-	r := wire.NewReader(seg)
-	if kind := r.Byte(); kind != wire.StreamChunk {
-		return nil, fmt.Errorf("core: %s: segment kind %d where chunk %d expected", streamAbortMarker, kind, wantIndex)
-	}
-	sub, mode, groups, index, count := wire.ReadStreamChunkHeader(r)
-	if rerr := r.Err(); rerr != nil {
-		return nil, rerr
-	}
-	if sub != wantSub || LBLMode(mode) != geo.mode || int(groups) != geo.groups {
-		return nil, fmt.Errorf("core: %s: chunk %d does not match the stream's geometry", streamAbortMarker, wantIndex)
-	}
-	if int(index) != wantIndex || int(count) != wantCount {
-		return nil, fmt.Errorf("core: %s: chunk (%d×%d) where (%d×%d) expected", streamAbortMarker, index, count, wantIndex, wantCount)
-	}
-	body := r.Raw(wantCount * elemLen)
-	if rerr := r.Err(); rerr != nil {
-		return nil, rerr
-	}
-	if rerr := r.Finish(); rerr != nil {
-		return nil, rerr
-	}
-	return body, nil
-}
-
-// nextStreamEnd reads and validates the end segment, which re-commits
-// the chunk count so a truncated stream can never pass as complete.
-func (s *LBLServer) nextStreamEnd(ctx context.Context, sr *transport.StreamReader, wantSub byte, wantChunks int) error {
-	seg, err := sr.Next(ctx)
-	if err != nil {
-		if ctx.Err() != nil {
-			s.expiredRounds.Add(1)
-			return errExpiredRound
+		// A key straddling the frame's start continues its span, and is
+		// installed once its last group is in.
+		if i := g0 / groups; g0%groups != 0 && span != nil {
+			end := min(g1, (i+1)*groups)
+			if err := s.feedSpan(ctx, h.geo, span, body[:(end-g0)*gl], g0-i*groups, end-i*groups); err != nil {
+				errs[i], span = err, nil
+			} else if end == (i+1)*groups {
+				errs[i], span = s.accessOne(span.key, h.geo, span.table, labels[i*stride:(i+1)*stride], span), nil
+			}
 		}
-		return fmt.Errorf("core: %s: %v", streamAbortMarker, err)
+		// Keys wholly inside the frame are applied at once.
+		if i0, i1 := (g0+groups-1)/groups, g1/groups; i0 < i1 {
+			s.applyKeys(ctx, h.geo, h.ids, i0, i1, body[(i0*groups-g0)*gl:(i1*groups-g0)*gl], labels, errs)
+		}
+		// A key straddling the frame's end starts its span.
+		if j := g1 / groups; g1%groups != 0 && j*groups >= g0 {
+			span, errs[j] = s.startSpan(ctx, h.geo, h.ids[j*lblIDLen:(j+1)*lblIDLen])
+			if errs[j] == nil {
+				if err := s.feedSpan(ctx, h.geo, span, body[(j*groups-g0)*gl:], 0, g1-j*groups); err != nil {
+					errs[j], span = err, nil
+				}
+			}
+		}
+		if errs[h.n-1] != nil {
+			// The last key is settled, so every key is: the remaining
+			// frames drain as orphans.
+			return
+		}
 	}
-	r := wire.NewReader(seg)
-	if kind := r.Byte(); kind != wire.StreamEnd {
-		return fmt.Errorf("core: %s: segment kind %d where end expected", streamAbortMarker, kind)
-	}
-	sub := r.Byte()
-	chunks := r.Uint32()
-	if rerr := r.Err(); rerr != nil {
-		return rerr
-	}
-	if rerr := r.Finish(); rerr != nil {
-		return rerr
-	}
-	if sub != wantSub || int(chunks) != wantChunks {
-		return fmt.Errorf("core: %s: end frame re-commits %d chunks, want %d", streamAbortMarker, chunks, wantChunks)
-	}
-	return nil
 }
 
-// streamAccessOne serves a single-access stream: trial decryption of
-// each chunk's groups runs as the chunk arrives — against a snapshot
-// of the record — overlapping the remaining chunks' wire time, and the
-// labels install atomically once the end frame confirms the stream
-// complete. If the record moved between snapshot and install (a
-// concurrent round for the same key, which a correct proxy never
-// issues), the install falls back to re-decrypting the accumulated
-// table against the current record inside the store update.
-func (s *LBLServer) streamAccessOne(ctx context.Context, r *wire.Reader, sr *transport.StreamReader) ([]byte, error) {
-	encKey := r.Raw(prf.Size)
-	claim := r.Raw(lblClaimLen)
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	geo, err := readStreamGeometry(r)
-	if err != nil {
-		return nil, err
-	}
-	chunkGroups := int(r.Uint32())
-	nChunks := int(r.Uint32())
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if err := r.Finish(); err != nil {
-		return nil, err
-	}
-	if chunkGroups <= 0 || chunkGroups > geo.groups ||
-		nChunks != (geo.groups+chunkGroups-1)/chunkGroups {
-		return nil, fmt.Errorf("core: implausible stream chunking %d×%d for %d groups", nChunks, chunkGroups, geo.groups)
-	}
-	// Budget and fence run before any record work, as on the monolithic
-	// path; the budget is re-tested per chunk below.
+// admit runs one key's checks that precede any record work and returns
+// its encoded key. The deadline budget is re-tested before every key,
+// so a round that expires mid-flight stops burning trial decryptions on
+// keys whose answers nobody will read. The ownership fence is per key
+// too, so one stale-epoch access cannot fail its round mates. Either
+// rejection leaves the record untouched (epoch.go, DESIGN.md §15).
+func (s *LBLServer) admit(ctx context.Context, id []byte) (string, error) {
 	if err := s.checkBudget(ctx); err != nil {
-		return nil, err
+		return "", err
 	}
-	if err := s.checkEpoch(readClaim(claim)); err != nil {
-		return nil, err
+	if err := s.checkEpoch(readClaim(id[prf.Size:])); err != nil {
+		return "", err
 	}
-	sp := trace.StartChild(ctx, "server_decrypt")
-	defer sp.End()
+	return string(id[:prf.Size]), nil
+}
 
-	key := string(encKey)
+// applyKeys applies keys [i0, i1), whose tables lie back to back in
+// tables, fanned out across the kvstore's shards.
+func (s *LBLServer) applyKeys(ctx context.Context, geo tableGeometry, ids []byte, i0, i1 int, tables, labels []byte, errs []error) {
+	if i1-i0 == 1 {
+		// The common one-key round: no fan-out closure to allocate.
+		errs[i0] = s.applyKey(ctx, geo, ids, i0, tables, labels)
+		return
+	}
+	tb := geo.tableBytes()
+	forEachBatched(i1-i0, func(j int) {
+		errs[i0+j] = s.applyKey(ctx, geo, ids, i0+j, tables[j*tb:(j+1)*tb], labels)
+	})
+}
+
+// applyKey applies key i's whole table, decrypting it inside the store
+// update.
+func (s *LBLServer) applyKey(ctx context.Context, geo tableGeometry, ids []byte, i int, table, labels []byte) error {
+	key, err := s.admit(ctx, ids[i*lblIDLen:(i+1)*lblIDLen])
+	if err != nil {
+		return err
+	}
+	stride := geo.groups * prf.Size
+	return s.accessOne(key, geo, table, labels[i*stride:(i+1)*stride], nil)
+}
+
+// A spanKey is a key whose table spans frames, in progress. Its groups
+// are trial-decrypted against a snapshot of its record as they land —
+// a failure is a staleness rejection, the record untouched — and the
+// whole table is kept for the install, which re-decrypts it if the
+// record moved since the snapshot (a concurrent round for the same
+// key, which a correct proxy never issues).
+type spanKey struct {
+	key      string
+	snap     []byte
+	rec      *lblRecord
+	table    []byte
+	labels   []byte // new labels decrypted so far
+	dbits    []byte // new decryption bits, point-and-permute only
+	attempts int64
+}
+
+// startSpan admits a spanning key and snapshots its record.
+func (s *LBLServer) startSpan(ctx context.Context, geo tableGeometry, id []byte) (*spanKey, error) {
+	key, err := s.admit(ctx, id)
+	if err != nil {
+		return nil, err
+	}
 	snap, err := s.store.Get(key)
 	if errors.Is(err, kvstore.ErrNotFound) {
 		return nil, ErrNotFound
@@ -618,199 +587,52 @@ func (s *LBLServer) streamAccessOne(ctx context.Context, r *wire.Reader, sr *tra
 	if err != nil {
 		return nil, err
 	}
-	snapRec, err := parseLBLRecord(snap, geo.mode, geo.groups)
+	rec, err := parseLBLRecord(snap, geo.mode, geo.groups)
 	if err != nil {
 		return nil, err
 	}
-
-	table := make([]byte, geo.tableBytes())
-	newLabels := make([]byte, geo.groups*prf.Size)
-	var newDbits []byte
+	sk := &spanKey{key: key, snap: snap, rec: rec, table: make([]byte, geo.tableBytes()), labels: make([]byte, geo.groups*prf.Size)}
 	if geo.mode.hasDbits() {
-		newDbits = make([]byte, geo.groups)
+		sk.dbits = make([]byte, geo.groups)
 	}
-	groupLen := geo.nEntries * geo.entryLen
-	var attempts int64
-	for i := 0; i < nChunks; i++ {
-		g0 := i * chunkGroups
-		g1 := g0 + chunkGroups
-		if g1 > geo.groups {
-			g1 = geo.groups
-		}
-		body, cerr := s.nextStreamChunk(ctx, sr, wire.StreamSingle, geo, i, g1-g0, groupLen)
-		if cerr != nil {
-			return nil, cerr
-		}
-		if berr := s.checkBudget(ctx); berr != nil {
-			return nil, berr
-		}
-		copy(table[g0*groupLen:], body)
-		// A decryption failure against the snapshot is a staleness
-		// rejection (the proxy's counter is behind): abort now, record
-		// untouched, remaining frames drain as audited orphans.
-		a, derr := decryptRange(geo, snapRec, table, g0, g1, newLabels, newDbits)
-		attempts += a
-		if derr != nil {
-			return nil, derr
-		}
-	}
-	if eerr := s.nextStreamEnd(ctx, sr, wire.StreamSingle, nChunks); eerr != nil {
-		return nil, eerr
-	}
-	if err := s.checkBudget(ctx); err != nil {
-		return nil, err
-	}
-
-	// The response is retained by the transport's dedup cache, so it
-	// must be freshly allocated, never pooled.
-	labels := make([]byte, geo.groups*prf.Size)
-	bp := recPool.Get().(*[]byte)
-	applied := false
-	err = s.store.Update(key, func(old []byte) ([]byte, error) {
-		rec, perr := parseLBLRecord(old, geo.mode, geo.groups)
-		if perr != nil {
-			return nil, perr
-		}
-		newRec := *bp
-		if cap(newRec) < len(old) {
-			newRec = make([]byte, len(old))
-		} else {
-			newRec = newRec[:len(old)]
-		}
-		*bp = newRec
-		newRec[0] = byte(geo.mode)
-		dstLabels := newRec[1 : 1+geo.groups*prf.Size]
-		var dstDbits []byte
-		if geo.mode.hasDbits() {
-			dstDbits = newRec[1+geo.groups*prf.Size:]
-		}
-		if bytes.Equal(old, snap) {
-			// Fast path: the record is exactly the snapshot the chunks
-			// were decrypted against — install the precomputed labels.
-			copy(dstLabels, newLabels)
-			copy(dstDbits, newDbits)
-		} else {
-			a, derr := decryptRange(geo, rec, table, 0, geo.groups, dstLabels, dstDbits)
-			attempts += a
-			if derr != nil {
-				return nil, derr
-			}
-		}
-		copy(labels, dstLabels)
-		*bp = old
-		applied = true
-		return newRec, nil
-	})
-	if err != nil && applied {
-		*bp = nil
-	}
-	recPool.Put(bp)
-	if errors.Is(err, kvstore.ErrNotFound) {
-		return nil, ErrNotFound
-	}
-	if err != nil {
-		return nil, err
-	}
-	s.ops.Add(1)
-	s.decryptAttempts.Add(attempts)
-	return labels, nil
+	return sk, nil
 }
 
-// streamAccessBatch serves a batch stream: each chunk carries whole
-// per-key (key, claim, table) segments, applied through accessOne as
-// the chunk arrives — so the first keys' decryptions overlap the later
-// keys' garbling and wire time — and the single response frame is
-// identical to handleAccessBatch's. Keys in chunks that never arrive
-// are untouched; because earlier chunks may already have applied, the
-// proxy resolves an aborted batch stream by probing each key rather
-// than replaying bytes (pending.go).
-func (s *LBLServer) streamAccessBatch(ctx context.Context, r *wire.Reader, sr *transport.StreamReader) ([]byte, error) {
-	geo, err := readStreamGeometry(r)
-	if err != nil {
-		return nil, err
-	}
-	n := int(r.Uint32())
-	perChunk := int(r.Uint32())
-	nChunks := int(r.Uint32())
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if err := r.Finish(); err != nil {
-		return nil, err
-	}
-	if n <= 0 || n > maxBatchAccesses {
-		return nil, fmt.Errorf("core: implausible batch size %d", n)
-	}
-	if perChunk <= 0 || perChunk > n || nChunks != (n+perChunk-1)/perChunk {
-		return nil, fmt.Errorf("core: implausible stream chunking %d×%d for %d accesses", nChunks, perChunk, n)
-	}
+// feedSpan takes groups [a, b) of a spanning key's table and
+// trial-decrypts them against its snapshot.
+func (s *LBLServer) feedSpan(ctx context.Context, geo tableGeometry, sk *spanKey, part []byte, a, b int) error {
 	if err := s.checkBudget(ctx); err != nil {
-		return nil, err
+		return err
 	}
-	sp := trace.StartChild(ctx, "server_decrypt")
-	defer sp.End()
+	copy(sk.table[a*geo.groupLen():], part)
+	n, err := decryptRange(geo, sk.rec, sk.table, a, b, sk.labels, sk.dbits)
+	sk.attempts += n
+	return err
+}
 
-	segLen := prf.Size + lblClaimLen + geo.tableBytes()
-	stride := geo.groups * prf.Size
-	labelsBuf := make([]byte, n*stride)
-	errs := make([]error, n)
-	for c := 0; c < nChunks; c++ {
-		k0 := c * perChunk
-		k1 := k0 + perChunk
-		if k1 > n {
-			k1 = n
-		}
-		body, cerr := s.nextStreamChunk(ctx, sr, wire.StreamBatch, geo, c, k1-k0, segLen)
-		if cerr != nil {
-			return nil, cerr
-		}
-		// Fan this chunk's accesses out like the monolithic batch
-		// handler; the next chunk's wire time overlaps the decryption.
-		count := k1 - k0
-		workers := runtime.GOMAXPROCS(0)
-		if workers > count {
-			workers = count
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					j := int(next.Add(1)) - 1
-					if j >= count {
-						return
-					}
-					k := k0 + j
-					seg := body[j*segLen : (j+1)*segLen]
-					if err := s.checkBudget(ctx); err != nil {
-						errs[k] = err
-						continue
-					}
-					if err := s.checkEpoch(readClaim(seg[prf.Size : prf.Size+lblClaimLen])); err != nil {
-						errs[k] = err
-						continue
-					}
-					errs[k] = s.accessOne(string(seg[:prf.Size]), geo, seg[prf.Size+lblClaimLen:], labelsBuf[k*stride:(k+1)*stride])
-				}
-			}()
-		}
-		wg.Wait()
+// nextFrame reads and validates the round's next continuation frame,
+// which must carry count groups of geometry geo, and returns its
+// groups. A read failure is an abort (no further frame can arrive)
+// unless the handler's own deadline expired.
+func (s *LBLServer) nextFrame(ctx context.Context, sr *transport.StreamReader, geo tableGeometry, count int) ([]byte, error) {
+	if sr == nil {
+		return nil, errors.New("core: " + streamAbortMarker + ": no continuation frames attached")
 	}
-	if eerr := s.nextStreamEnd(ctx, sr, wire.StreamBatch, nChunks); eerr != nil {
-		return nil, eerr
-	}
-
-	out := wire.NewWriter(n * (1 + stride))
-	for i := range errs {
-		if errs[i] != nil {
-			out.Byte(1)
-			out.String(errs[i].Error())
-			continue
+	frame, err := sr.Next(ctx)
+	if err != nil {
+		if ctx.Err() != nil {
+			s.expiredRounds.Add(1)
+			return nil, errExpiredRound
 		}
-		out.Byte(0)
-		out.Raw(labelsBuf[i*stride : (i+1)*stride])
+		return nil, fmt.Errorf("core: %s: %v", streamAbortMarker, err)
 	}
-	return out.Bytes(), nil
+	cgeo, c, body, err := readContinuation(frame)
+	if err != nil {
+		return nil, fmt.Errorf("core: %s: %v", streamAbortMarker, err)
+	}
+	if cgeo.mode != geo.mode || cgeo.groups != geo.groups || c != count {
+		return nil, fmt.Errorf("core: %s: continuation of %d groups (%v, %d per value) where %d (%v, %d) expected",
+			streamAbortMarker, c, cgeo.mode, cgeo.groups, count, geo.mode, geo.groups)
+	}
+	return body, nil
 }

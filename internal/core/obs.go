@@ -38,21 +38,15 @@ func traceLabel(encKey []byte) string {
 type lblProxyObs struct {
 	enabled bool
 
-	acquire *obs.Histogram // per-key counter acquisition (serialization point)
-	build   *obs.Histogram // encryption-table build, steps 1.1–1.5
-	rpc     *obs.Histogram // wire round trip, request out to response in
-	recover *obs.Histogram // label→bit recovery + §5.4 integrity check
-	e2e     *obs.Histogram // sum of the four stages
-	errors  *obs.Counter
+	single lblStages      // one Access
+	batch  lblStages      // one batch round
+	e2e    *obs.Histogram // sum of a single access's four stages
+	errors *obs.Counter
 
-	batchAcquire *obs.Histogram // per-chunk counter acquisition
-	batchBuild   *obs.Histogram // parallel table build, per chunk
-	batchRPC     *obs.Histogram // one MsgLBLAccessBatch round trip
-	batchRecover *obs.Histogram // parallel label recovery, per chunk
-	batchKeys    *obs.Counter   // accesses carried in batch chunks
+	batchKeys *obs.Counter // accesses carried in batch rounds
 
-	streamRounds *obs.Counter // rounds carried by the chunked-streaming path
-	streamChunks *obs.Counter // chunk frames emitted on the streaming path
+	streamRounds *obs.Counter // rounds sent as more than one frame
+	streamChunks *obs.Counter // frames of those rounds
 
 	pendingSaved    *obs.Counter // rounds parked after ambiguous transport failures
 	pendingResolved *obs.Counter // parked rounds settled by at-most-once replay
@@ -66,6 +60,14 @@ type lblProxyObs struct {
 	slow *obs.SlowLog
 }
 
+// lblStages is one histogram per access stage: per-key counter
+// acquisition (the serialization point), the encryption-table build
+// (steps 1.1–1.5), the wire round trip (request out to response in),
+// and label→bit recovery with the §5.4 integrity check.
+type lblStages struct {
+	acquire, build, rpc, recover *obs.Histogram
+}
+
 // Instrument registers the proxy's access-stage metrics
 // (ortoa_lbl_*) with reg. Call before serving accesses; a nil
 // registry leaves the proxy uninstrumented at zero cost.
@@ -73,31 +75,23 @@ func (p *LBLProxy) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	stage := func(name string) *obs.Histogram {
-		return reg.Histogram(`ortoa_lbl_stage_seconds{stage="`+name+`"}`,
-			"LBL proxy per-access stage latency (§5.2 steps)")
-	}
-	batchStage := func(name string) *obs.Histogram {
-		return reg.Histogram(`ortoa_lbl_batch_stage_seconds{stage="`+name+`"}`,
-			"LBL proxy per-chunk batch pipeline stage latency")
+	stages := func(metric, help string) lblStages {
+		stage := func(name string) *obs.Histogram {
+			return reg.Histogram(metric+`{stage="`+name+`"}`, help)
+		}
+		return lblStages{stage("counter_acquire"), stage("table_build"), stage("rpc"), stage("label_recover")}
 	}
 	p.mx = lblProxyObs{
 		enabled: true,
-		acquire: stage("counter_acquire"),
-		build:   stage("table_build"),
-		rpc:     stage("rpc"),
-		recover: stage("label_recover"),
+		single:  stages("ortoa_lbl_stage_seconds", "LBL proxy per-access stage latency (§5.2 steps)"),
+		batch:   stages("ortoa_lbl_batch_stage_seconds", "LBL proxy per-round batch pipeline stage latency"),
 		e2e:     reg.Histogram("ortoa_lbl_access_seconds", "LBL proxy end-to-end access latency"),
 		errors:  reg.Counter("ortoa_lbl_access_errors_total", "LBL accesses that failed"),
 
-		batchAcquire: batchStage("counter_acquire"),
-		batchBuild:   batchStage("table_build"),
-		batchRPC:     batchStage("rpc"),
-		batchRecover: batchStage("label_recover"),
-		batchKeys:    reg.Counter("ortoa_lbl_batch_accesses_total", "accesses carried in batch chunks"),
+		batchKeys: reg.Counter("ortoa_lbl_batch_accesses_total", "accesses carried in batch rounds"),
 
-		streamRounds: reg.Counter("ortoa_lbl_stream_rounds_total", "rounds carried by the chunked-streaming request path (MsgLBLAccessStream)"),
-		streamChunks: reg.Counter("ortoa_lbl_stream_chunks_total", "stream chunk frames emitted by the proxy"),
+		streamRounds: reg.Counter("ortoa_lbl_stream_rounds_total", "rounds sent as more than one request frame (StreamChunkBytes)"),
+		streamChunks: reg.Counter("ortoa_lbl_stream_chunks_total", "request frames of multi-frame rounds emitted by the proxy"),
 
 		pendingSaved:    reg.Counter("ortoa_lbl_pending_rounds_total", "LBL rounds parked after an ambiguous transport failure"),
 		pendingResolved: reg.Counter("ortoa_lbl_pending_resolved_total", "parked LBL rounds settled by at-most-once replay"),

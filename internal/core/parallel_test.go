@@ -23,7 +23,7 @@ func applyTable(t *testing.T, cfg LBLConfig, ek string, record, table []byte) (l
 	srv := NewLBLServer(store)
 	geo := tableGeometry{mode: cfg.Mode, groups: cfg.Groups(), entryLen: cfg.Mode.entryLen(), nEntries: cfg.Mode.entries()}
 	labels = make([]byte, cfg.Groups()*prf.Size)
-	if err := srv.accessOne(ek, geo, table, labels); err != nil {
+	if err := srv.accessOne(ek, geo, table, labels, nil); err != nil {
 		t.Fatal(err)
 	}
 	newRec, err := store.Get(ek)
@@ -62,10 +62,10 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 			}
 			seq := make([]byte, cfg.TableBytes())
 			par := make([]byte, cfg.TableBytes())
-			if err := proxy.buildAccessTable(seq, "obj", OpWrite, newValue, 0, 1); err != nil {
+			if err := proxy.sealKey(seq, &roundKey{op: OpWrite, key: "obj", value: newValue}, 0, proxy.cfg.Groups(), 1); err != nil {
 				t.Fatal(err)
 			}
-			if err := proxy.buildAccessTable(par, "obj", OpWrite, newValue, 0, 4); err != nil {
+			if err := proxy.sealKey(par, &roundKey{op: OpWrite, key: "obj", value: newValue}, 0, proxy.cfg.Groups(), 4); err != nil {
 				t.Fatal(err)
 			}
 
@@ -81,7 +81,7 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 			// Both recoveries — sequential and fanned out — must yield
 			// the written value.
 			for _, workers := range []int{1, 4} {
-				got, err := proxy.recoverWorkers(OpWrite, "obj", newValue, 1, parLabels, workers)
+				got, err := proxy.recoverWorkers(proxy.prf.LabelGen("obj"), OpWrite, newValue, 1, parLabels, workers)
 				if err != nil {
 					t.Fatalf("recover with %d workers: %v", workers, err)
 				}
@@ -114,7 +114,7 @@ func TestParallelBuildShuffleUniform(t *testing.T) {
 	slot0 := 0
 	perWorkerSlot0 := [4]int{}
 	for ct := uint64(0); ct < rounds; ct++ {
-		if err := proxy.buildAccessTable(table, "obj", OpRead, nil, ct, 4); err != nil {
+		if err := proxy.sealKey(table, &roundKey{op: OpRead, key: "obj", ct: ct}, 0, proxy.cfg.Groups(), 4); err != nil {
 			t.Fatal(err)
 		}
 		for g := 0; g < groups; g++ {

@@ -20,10 +20,12 @@ import (
 // permanent desynchronization, the one failure §5.3.1 flags as
 // unrecoverable.
 //
-// Instead the proxy parks the exact round — request id and request
-// bytes (tables embed shuffle randomness, so they cannot be rebuilt
-// bit-identically) — on the key's counter entry. The next access to
-// that key first replays the parked round under the same request id.
+// Instead the proxy parks the exact round — request id and, for a
+// one-frame round, the request bytes (tables embed shuffle randomness,
+// so they cannot be rebuilt bit-identically) — on the key's counter
+// entry. The next access to that key first replays the parked round
+// under the same request id; a multi-frame round, which parks no
+// bytes, is settled by a probe (probePending) instead.
 // The transport's at-most-once dedup cache makes the replay safe:
 // whether the original executed or was lost, the replay yields the
 // outcome of exactly one execution. The proxy then commits or discards
@@ -42,23 +44,18 @@ import (
 // execution. Between replays, fencing, and eviction tombstones, every
 // resolution path ends with the proxy knowing whether ct advanced.
 
-// A pendingRound is one ambiguous in-flight round parked on a
-// counterEntry.
+// A pendingRound is one key's share of an ambiguous round, parked on
+// the key's counterEntry.
 type pendingRound struct {
-	id      uint64 // transport request id; the replay reuses it
-	msgType byte
-	// req is the exact request payload of the original attempt. It is
-	// nil for rounds that went out over the chunked-streaming path,
-	// whose table bytes lived in pooled chunk frames: a single access
-	// rebuilds a monolithic request at the same counter on resolution
-	// (the dedup cache replays by id alone if the original executed,
-	// and a rebuilt table is a fresh valid round at ct if it did not),
-	// while a streamed batch must probe per key instead — the server
-	// applies streamed chunks incrementally, so a byte replay could
-	// re-answer keys from chunks that already applied.
+	id uint64 // transport request id; a replay reuses it
+	// req is the exact request of a one-frame round, replayed byte for
+	// byte under the original id. It is nil for a multi-frame round,
+	// whose frames went out of one pooled chunk buffer: the server
+	// applies such a round's keys as their frames land, so it settles
+	// by probing the key instead (probePending).
 	req   []byte
-	batch bool // the round was a MsgLBLAccessBatch-shaped batch
-	pos   int  // this key's index within the batch chunk
+	n     int // keys in the round
+	pos   int // this key's index within the round
 	op    Op
 	value []byte // written value (private copy), for write-back verification
 }
@@ -83,20 +80,10 @@ func pendingValue(op Op, newValue []byte) []byte {
 // caller must hold entry.mu.
 func (p *LBLProxy) resolvePending(key string, entry *counterEntry) error {
 	pr := entry.pending
-	req := pr.req
-	if req == nil {
-		// A streamed round parked no bytes. Batches settle by probing
-		// (see pendingRound.req); single accesses rebuild a monolithic
-		// request at the parked counter and replay under the same id.
-		if pr.batch {
-			return p.probePending(key, entry)
-		}
-		var err error
-		if req, err = p.buildRequest(pr.op, key, pr.value, entry.ct); err != nil {
-			return fmt.Errorf("core: rebuilding streamed round for %q: %w", key, err)
-		}
+	if pr.req == nil {
+		return p.probePending(key, entry)
 	}
-	resp, err := p.client.CallContextID(context.Background(), pr.id, pr.msgType, req)
+	resp, err := p.client.CallContextID(context.Background(), pr.id, MsgLBLAccess, pr.req)
 	switch {
 	case err == nil:
 		// One execution's response in hand — the original's, replayed
@@ -105,10 +92,10 @@ func (p *LBLProxy) resolvePending(key string, entry *counterEntry) error {
 		return fmt.Errorf("core: round for %q still unresolved: %w", key, err)
 	case transport.IsReplayEvicted(err):
 		// The round executed; only its response bytes are gone. For a
-		// single access that alone settles the counter. For a batch the
-		// per-key statuses are lost with the response, so probe the
-		// key's counter state instead.
-		if pr.batch {
+		// one-key round that alone settles the counter. For an n-key
+		// round the per-key statuses are lost with the response, so
+		// probe the key's counter state instead.
+		if pr.n > 1 {
 			return p.probePending(key, entry)
 		}
 		return p.settlePending(entry, true)
@@ -116,21 +103,27 @@ func (p *LBLProxy) resolvePending(key string, entry *counterEntry) error {
 		// Fencing rejection: the server's labels have moved past this
 		// table's counter, which only a round at ct executing can
 		// cause. The parked round is that round (or was fenced out by
-		// it — for a single access they are the same round).
+		// it — for a one-key round they are the same round).
 		return p.settlePending(entry, true)
 	default:
 		// Any other RemoteError is the outcome of the one execution:
 		// the server rejected the round and left the record untouched.
 		return p.settlePending(entry, false)
 	}
-	labels, remoteMsg, err := pr.extract(resp, p.cfg)
+	var labels []byte
+	var remoteMsg string
+	err = eachResult(resp, pr.n, p.cfg.Groups()*prf.Size, func(i int, l []byte, msg string) {
+		if i == pr.pos {
+			labels, remoteMsg = l, msg
+		}
+	})
 	if err != nil {
 		entry.pending = nil
 		return fmt.Errorf("core: resolving round for %q: %w", key, err)
 	}
 	if remoteMsg != "" {
-		// Per-key rejection inside a batch frame. A stale rejection is
-		// fencing proof that this key's sub-access (or its original)
+		// Per-key rejection inside an n-key round. A stale rejection is
+		// fencing proof that this key's access (or its original)
 		// executed at ct; anything else left the record untouched.
 		return p.settlePending(entry, strings.Contains(remoteMsg, staleTableMarker))
 	}
@@ -152,22 +145,17 @@ func (p *LBLProxy) settlePending(entry *counterEntry, executed bool) error {
 	return nil
 }
 
-// probePending settles a parked round whose per-key outcome is
-// unrecoverable (a batch whose cached response was evicted) by issuing
-// a fresh read keyed at the current counter. Fencing makes the probe
-// decisive: at most one round keyed at ct can ever execute, so either
-// the probe executes (the parked round never did, and now never can)
-// or the probe is rejected stale (the parked round did). Both
-// outcomes advance the counter exactly one step; they differ only in
-// whether the parked operation applied, which the original caller
-// already treats as unknown.
+// probePending settles a parked round whose per-key outcome cannot be
+// replayed (a multi-frame round, or an n-key round whose cached
+// response was evicted) by issuing a fresh read keyed at the current
+// counter. Fencing makes the probe decisive: at most one round keyed
+// at ct can ever execute, so either the probe executes (the parked
+// round never did, and now never can) or the probe is rejected stale
+// (the parked round did). Both outcomes advance the counter exactly
+// one step; they differ only in whether the parked operation applied,
+// which the original caller already treats as unknown.
 func (p *LBLProxy) probePending(key string, entry *counterEntry) error {
-	req, err := p.buildRequest(OpRead, key, nil, entry.ct)
-	if err != nil {
-		return err
-	}
-	id := p.client.NextID()
-	resp, err := p.client.CallContextID(context.Background(), id, MsgLBLAccess, req)
+	resp, parked, err := p.probe(key, entry.ct)
 	switch {
 	case err == nil:
 		if _, rerr := p.recover(OpRead, key, nil, entry.ct+1, resp); rerr != nil {
@@ -177,17 +165,34 @@ func (p *LBLProxy) probePending(key string, entry *counterEntry) error {
 		return p.settlePending(entry, true) // the probe's own step
 	case transport.Ambiguous(err):
 		// The probe's outcome is itself unknown. Park the probe in
-		// place of the batch round: it lives in the same two-state
-		// space, so the next access resolves it the ordinary way (and
-		// its single-access response replays cheaply).
-		entry.pending = &pendingRound{id: id, msgType: MsgLBLAccess, req: req, op: OpRead}
+		// place of the original round: it lives in the same two-state
+		// space, so the next access resolves it the ordinary way.
+		entry.pending = parked
 		return fmt.Errorf("core: round for %q still unresolved: %w", key, err)
 	case isStaleRound(err) || transport.IsReplayEvicted(err):
 		return p.settlePending(entry, true)
-	default:
+	case errors.As(err, new(*transport.RemoteError)):
 		entry.pending = nil
 		return fmt.Errorf("core: probing round for %q: %w", key, err)
+	default:
+		// The probe never went out (no live connection, client
+		// closed): the parked round stays parked.
+		return fmt.Errorf("core: round for %q still unresolved: %w", key, err)
 	}
+}
+
+// probe sends one read-shaped round for key keyed at counter ct — a
+// resolution or reconciliation probe, framed like any one-key access.
+// When the call is ambiguous, parked is the round to park in its place.
+func (p *LBLProxy) probe(key string, ct uint64) (resp []byte, parked *pendingRound, err error) {
+	keys := []roundKey{{op: OpRead, key: key, ct: ct}}
+	id := p.client.NextID()
+	resp, req, _, err := p.sendRound(context.Background(), nil, id, keys)
+	if transport.Ambiguous(err) {
+		return nil, parkRound(id, req, keys, 0), err
+	}
+	wire.PutWriter(req)
+	return resp, nil, err
 }
 
 // isStaleRound reports whether err is the server's fencing rejection:
@@ -196,33 +201,4 @@ func (p *LBLProxy) probePending(key string, entry *counterEntry) error {
 func isStaleRound(err error) bool {
 	var re *transport.RemoteError
 	return errors.As(err, &re) && strings.Contains(re.Msg, staleTableMarker)
-}
-
-// extract slices this round's labels out of the replayed response
-// payload; remoteMsg is non-empty if the server rejected this key's
-// access within an otherwise-successful batch frame.
-func (pr *pendingRound) extract(resp []byte, cfg LBLConfig) (labels []byte, remoteMsg string, err error) {
-	if !pr.batch {
-		return resp, "", nil
-	}
-	labelLen := cfg.Groups() * prf.Size
-	r := wire.NewReader(resp)
-	for i := 0; ; i++ {
-		var l []byte
-		var msg string
-		if r.Byte() != 0 {
-			msg = r.String()
-			if msg == "" {
-				msg = "unspecified server error"
-			}
-		} else {
-			l = r.Raw(labelLen)
-		}
-		if r.Err() != nil {
-			return nil, "", fmt.Errorf("%w: malformed batch replay: %v", ErrTampered, r.Err())
-		}
-		if i == pr.pos {
-			return l, msg, nil
-		}
-	}
 }

@@ -27,7 +27,7 @@ func TestQuickRequestSizeFormula(t *testing.T) {
 			op = OpWrite
 			value = bytes.Repeat([]byte{0xA5}, size)
 		}
-		req, err := proxy.buildRequest(op, "some-key", value, uint64(ct))
+		req, err := oneFrameRequest(proxy, op, "some-key", value, uint64(ct))
 		if err != nil {
 			return false
 		}

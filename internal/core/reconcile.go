@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"ortoa/internal/transport"
@@ -88,13 +87,8 @@ func (p *LBLProxy) reconcile(key string, entry *counterEntry) error {
 // the probe as the entry's pending round — rebased to cand, so the
 // standard resolution path applies — and surfaces the error.
 func (p *LBLProxy) probeCounter(key string, entry *counterEntry, cand uint64) (bool, error) {
-	req, err := p.buildRequest(OpRead, key, nil, cand)
-	if err != nil {
-		return false, errReconcile(key, err)
-	}
 	p.mx.reconcileProbes.Inc()
-	id := p.client.NextID()
-	resp, err := p.client.CallContextID(context.Background(), id, MsgLBLAccess, req)
+	resp, parked, err := p.probe(key, cand)
 	switch {
 	case err == nil:
 		if _, rerr := p.recover(OpRead, key, nil, cand+1, resp); rerr != nil {
@@ -109,7 +103,7 @@ func (p *LBLProxy) probeCounter(key string, entry *counterEntry, cand uint64) (b
 		// the probe so the key's next access settles it exactly like any
 		// other ambiguous round.
 		entry.ct = cand
-		entry.pending = &pendingRound{id: id, msgType: MsgLBLAccess, req: req, op: OpRead}
+		entry.pending = parked
 		p.mx.pendingSaved.Inc()
 		return false, errReconcile(key, err)
 	case transport.IsReplayEvicted(err):

@@ -62,21 +62,18 @@ func (s *LBLSimulator) labelState(key string) ([][]byte, error) {
 	return labels, nil
 }
 
-// Simulate produces a server-bound access message for key, shaped
-// exactly like a real LBL request, from dummy values only.
-func (s *LBLSimulator) Simulate(key string) ([]byte, error) {
+// Simulate produces the server-bound request frames of one access to
+// key — k ≥ 1 of them under the configured chunk budget, shaped and
+// framed exactly like a real one-key round — from dummy values only.
+// The ROR-RW projection holds frame by frame: real reads, real writes
+// and simulated accesses have identical frame counts, frame lengths and
+// headers.
+func (s *LBLSimulator) Simulate(key string) ([][]byte, error) {
 	cfg := s.cfg
-	groups := cfg.Groups()
 	labels, err := s.labelState(key)
 	if err != nil {
 		return nil, err
 	}
-
-	nEntries := cfg.Mode.entries()
-	entryLen := cfg.Mode.entryLen()
-	plainLen := cfg.Mode.entryPlainLen()
-
-	w := wire.NewWriter(cfg.RequestBytesPerAccess())
 	// The simulator does not know the PRF key; a random encoded key of
 	// the right size stands in (the adversary sees PRF outputs either
 	// way).
@@ -84,16 +81,9 @@ func (s *LBLSimulator) Simulate(key string) ([]byte, error) {
 	if _, err := rand.Read(ek); err != nil {
 		return nil, err
 	}
-	w.Raw(ek)
-	// The fixed-width ownership claim (epoch.go). The simulator knows
-	// the key — range placement is routing data, the same datum sharded
-	// deployments already reveal by which server a request reaches —
-	// and stamps the single-proxy epoch 0. Fixed width keeps simulated
-	// and real frames structurally identical whatever the epoch.
-	putClaim(w.Extend(lblClaimLen), RangeOf(key), 0)
-	w.Byte(byte(cfg.Mode))
-	w.Uvarint(uint64(groups))
-	w.Uvarint(uint64(entryLen))
+	nEntries := cfg.Mode.entries()
+	entryLen := cfg.Mode.entryLen()
+	plainLen := cfg.Mode.entryPlainLen()
 
 	// Scratch shared across groups: the valid entry's plaintext, one
 	// junk-key buffer, the all-zeros junk plaintext, and the slot
@@ -102,124 +92,57 @@ func (s *LBLSimulator) Simulate(key string) ([]byte, error) {
 	// the retained new label allocates.
 	shuf := newCryptoShuffler()
 	sealer := secretbox.NewLabelSealer()
-	table := w.Extend(cfg.TableBytes())
 	plain := make([]byte, plainLen)
 	junkKey := make([]byte, prf.Size)
 	zeroPlain := make([]byte, plainLen)
 	var perm [16]int
-	for g := 0; g < groups; g++ {
-		nl, err := randomLabel()
-		if err != nil {
-			return nil, err
-		}
-		// Like the real proxy's step 1.5, the simulator's entry order
-		// must be cryptographically unpredictable — the single openable
-		// entry is generated first, so a guessable placement would
-		// distinguish simulated transcripts.
-		shuf.perm(nEntries, perm[:])
-		slots := table[g*nEntries*entryLen : (g+1)*nEntries*entryLen]
-		// One valid entry: Enc_{ol}(nl ‖ pad).
-		copy(plain, nl)
-		if err := sealer.SealInto(slots[perm[0]*entryLen:(perm[0]+1)*entryLen], labels[g], plain); err != nil {
-			return nil, err
-		}
-		// 2^y − 1 entries of zeros under fresh labels the server
-		// cannot open.
-		for e := 1; e < nEntries; e++ {
-			if _, err := rand.Read(junkKey); err != nil {
-				return nil, err
-			}
-			slot := perm[e]
-			if err := sealer.SealInto(slots[slot*entryLen:(slot+1)*entryLen], junkKey, zeroPlain); err != nil {
-				return nil, err
-			}
-		}
-		// The simulator's server now stores the new label.
-		labels[g] = nl
-	}
-	return w.Bytes(), nil
-}
-
-// SimulateStream produces the frame payload sequence of one streamed
-// access (MsgLBLAccessStream begin/chunk/end, wire/stream.go) for key,
-// shaped exactly like the real proxy's stream, from dummy values only.
-// The ROR-RW projection extends frame-by-frame: real read streams,
-// real write streams, and simulated streams have identical frame
-// counts, per-frame lengths, and headers.
-func (s *LBLSimulator) SimulateStream(key string) ([][]byte, error) {
-	cfg := s.cfg
-	groups := cfg.Groups()
-	labels, err := s.labelState(key)
-	if err != nil {
-		return nil, err
-	}
-
-	nEntries := cfg.Mode.entries()
-	entryLen := cfg.Mode.entryLen()
-	plainLen := cfg.Mode.entryPlainLen()
-	cg := cfg.streamChunkGroups()
-	nChunks := cfg.streamChunks()
-
-	frames := make([][]byte, 0, nChunks+2)
-	bw := wire.NewWriter(streamBeginSingleLen)
-	bw.Byte(wire.StreamBegin)
-	bw.Byte(wire.StreamSingle)
-	ek := make([]byte, prf.Size)
-	if _, err := rand.Read(ek); err != nil {
-		return nil, err
-	}
-	bw.Raw(ek)
-	putClaim(bw.Extend(lblClaimLen), RangeOf(key), 0)
-	bw.Byte(byte(cfg.Mode))
-	bw.Uint32(uint32(groups))
-	bw.Uint32(uint32(entryLen))
-	bw.Uint32(uint32(cg))
-	bw.Uint32(uint32(nChunks))
-	frames = append(frames, bw.Bytes())
-
-	shuf := newCryptoShuffler()
-	sealer := secretbox.NewLabelSealer()
-	plain := make([]byte, plainLen)
-	junkKey := make([]byte, prf.Size)
-	zeroPlain := make([]byte, plainLen)
-	var perm [16]int
-	for i := 0; i < nChunks; i++ {
-		g0 := i * cg
-		g1 := g0 + cg
-		if g1 > groups {
-			g1 = groups
-		}
-		cw := wire.NewWriter(wire.StreamChunkHeaderLen + (g1-g0)*nEntries*entryLen)
-		wire.PutStreamChunkHeader(cw, wire.StreamSingle, byte(cfg.Mode), uint32(groups), uint32(i), uint32(g1-g0))
-		table := cw.Extend((g1 - g0) * nEntries * entryLen)
+	var frames [][]byte
+	err = cfg.writeFrames(wire.NewWriter(cfg.RequestBytes(1)), 1, func(w *wire.Writer) {
+		w.Raw(ek)
+		// The fixed-width ownership claim (epoch.go). The simulator
+		// knows the key — range placement is routing data, the same
+		// datum sharded deployments already reveal by which server a
+		// request reaches — and stamps the single-proxy epoch 0. Fixed
+		// width keeps simulated and real frames structurally identical
+		// whatever the epoch.
+		putClaim(w.Extend(lblClaimLen), RangeOf(key), 0)
+	}, func(dst []byte, g0, g1 int) error {
 		for g := g0; g < g1; g++ {
 			nl, err := randomLabel()
 			if err != nil {
-				return nil, err
+				return err
 			}
+			// Like the real proxy's step 1.5, the simulator's entry
+			// order must be cryptographically unpredictable — the single
+			// openable entry is generated first, so a guessable
+			// placement would distinguish simulated transcripts.
 			shuf.perm(nEntries, perm[:])
-			slots := table[(g-g0)*nEntries*entryLen : (g-g0+1)*nEntries*entryLen]
+			slots := dst[(g-g0)*nEntries*entryLen : (g-g0+1)*nEntries*entryLen]
+			// One valid entry: Enc_{ol}(nl ‖ pad).
 			copy(plain, nl)
 			if err := sealer.SealInto(slots[perm[0]*entryLen:(perm[0]+1)*entryLen], labels[g], plain); err != nil {
-				return nil, err
+				return err
 			}
+			// 2^y − 1 entries of zeros under fresh labels the server
+			// cannot open.
 			for e := 1; e < nEntries; e++ {
 				if _, err := rand.Read(junkKey); err != nil {
-					return nil, err
+					return err
 				}
 				slot := perm[e]
 				if err := sealer.SealInto(slots[slot*entryLen:(slot+1)*entryLen], junkKey, zeroPlain); err != nil {
-					return nil, err
+					return err
 				}
 			}
+			// The simulator's server now stores the new label.
 			labels[g] = nl
 		}
-		frames = append(frames, cw.Bytes())
-	}
-	ew := wire.NewWriter(wire.StreamEndLen)
-	wire.PutStreamEnd(ew, wire.StreamSingle, uint32(nChunks))
-	frames = append(frames, ew.Bytes())
-	return frames, nil
+		return nil
+	}, func(frame []byte) error {
+		frames = append(frames, append([]byte(nil), frame...))
+		return nil
+	})
+	return frames, err
 }
 
 // A TEESimulator emits TEE-ORTOA-shaped requests from dummy values

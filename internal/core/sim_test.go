@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"ortoa/internal/crypto/prf"
+	"ortoa/internal/wire"
 )
 
 // These tests exercise the testable projection of ROR-RW
@@ -21,20 +23,20 @@ func TestLBLReadWriteTranscriptShape(t *testing.T) {
 				t.Fatal(err)
 			}
 			newVal := bytes.Repeat([]byte{0x5A}, 8)
-			read, err := proxy.buildRequest(OpRead, "k", nil, 3)
+			read, err := oneFrameRequest(proxy, OpRead, "k", nil, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
-			write, err := proxy.buildRequest(OpWrite, "k", newVal, 3)
+			write, err := oneFrameRequest(proxy, OpWrite, "k", newVal, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(read) != len(write) {
 				t.Fatalf("read transcript %dB, write %dB — adversary distinguishes by length", len(read), len(write))
 			}
-			// Identical framing prefix (encoded key, mode, counts).
-			prefix := prf.Size + 1 + 2
-			if !bytes.Equal(read[prf.Size:prefix], write[prf.Size:prefix]) {
+			// Identical framing prefix (mode, counts, encoded key, claim).
+			prefix := len(read) - proxy.Config().TableBytes()
+			if !bytes.Equal(read[:prefix], write[:prefix]) {
 				t.Error("framing differs between read and write")
 			}
 			if bytes.Equal(read[prefix:], write[prefix:]) {
@@ -49,8 +51,8 @@ func TestLBLTranscriptFreshPerCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := proxy.buildRequest(OpRead, "k", nil, 1)
-	b, _ := proxy.buildRequest(OpRead, "k", nil, 2)
+	a, _ := oneFrameRequest(proxy, OpRead, "k", nil, 1)
+	b, _ := oneFrameRequest(proxy, OpRead, "k", nil, 2)
 	if bytes.Equal(a[prf.Size:], b[prf.Size:]) {
 		t.Error("transcripts for successive counters identical")
 	}
@@ -68,24 +70,29 @@ func TestLBLSimulatorMatchesRealShape(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			real, err := proxy.buildRequest(OpWrite, "k", bytes.Repeat([]byte{1}, 8), 0)
+			real, err := oneFrameRequest(proxy, OpWrite, "k", bytes.Repeat([]byte{1}, 8), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			simulated, err := sim.Simulate("k")
+			frames, err := sim.Simulate("k")
 			if err != nil {
 				t.Fatal(err)
 			}
+			if len(frames) != 1 {
+				t.Fatalf("simulated access has %d frames, want 1", len(frames))
+			}
+			simulated := frames[0]
 			if len(real) != len(simulated) {
 				t.Errorf("real transcript %dB, simulated %dB", len(real), len(simulated))
 			}
 			// Multi-access sequence: every simulated transcript keeps
 			// the real shape.
 			for i := 0; i < 5; i++ {
-				again, err := sim.Simulate("k")
+				frames, err := sim.Simulate("k")
 				if err != nil {
 					t.Fatal(err)
 				}
+				again := frames[0]
 				if len(again) != len(real) {
 					t.Errorf("access %d: simulated %dB, want %dB", i, len(again), len(real))
 				}
@@ -189,4 +196,28 @@ func TestFHERealReadWriteSameShapeEndToEnd(t *testing.T) {
 	if sent1-sent0 != sent2-sent1 {
 		t.Errorf("read sent %dB, write sent %dB", sent1-sent0, sent2-sent1)
 	}
+}
+
+// requestFrames returns the request frames of a round of keys at
+// their counters, exactly as the proxy sends them.
+func requestFrames(p *LBLProxy, keys ...roundKey) ([][]byte, error) {
+	var frames [][]byte
+	_, err := p.buildFrames(wire.NewWriter(0), keys, func(f []byte) error {
+		frames = append(frames, append([]byte(nil), f...))
+		return nil
+	})
+	return frames, err
+}
+
+// oneFrameRequest returns the request of one access to key at counter
+// ct under a config that sends it as one frame.
+func oneFrameRequest(p *LBLProxy, op Op, key string, value []byte, ct uint64) ([]byte, error) {
+	frames, err := requestFrames(p, roundKey{op: op, key: key, value: value, ct: ct})
+	if err != nil {
+		return nil, err
+	}
+	if len(frames) != 1 {
+		return nil, fmt.Errorf("access went out as %d frames, want 1", len(frames))
+	}
+	return frames[0], nil
 }

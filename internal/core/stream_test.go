@@ -15,11 +15,11 @@ import (
 	"ortoa/internal/transport"
 )
 
-// These tests exercise the chunked-streaming request path
-// (MsgLBLAccessStream): correctness of streamed single and batch
+// These tests exercise rounds sent as k > 1 frames (a chunk budget
+// smaller than the tables): correctness of streamed single and batch
 // accesses, the obliviousness of the per-frame wire view, parity with
-// the SimulateStream simulator, and ambiguity resolution when a stream
-// dies mid-flight.
+// the simulator, and ambiguity resolution when a stream dies
+// mid-flight.
 
 // streamCfg returns an LBL config whose table spans roughly nChunks
 // stream chunks.
@@ -48,7 +48,7 @@ func TestLBLStreamReadWrite(t *testing.T) {
 	for _, mode := range allLBLModes() {
 		t.Run(mode.String(), func(t *testing.T) {
 			cfg := streamCfg(mode, 8, 4)
-			if !cfg.streaming() {
+			if k, _ := cfg.frames(1); k == 1 {
 				t.Fatalf("config does not stream: budget %dB, table %dB", cfg.StreamChunkBytes, cfg.TableBytes())
 			}
 			r, proxy, _ := newLBLStream(t, cfg)
@@ -83,15 +83,15 @@ func TestLBLStreamReadWrite(t *testing.T) {
 
 func TestLBLStreamStatsAndSingleCall(t *testing.T) {
 	// A streamed access is still ONE logical RPC (the paper's one-round
-	// claim), spread over nChunks+2 frames, and its stats account the
-	// streamed framing exactly.
+	// claim), spread over k frames, and its stats account the streamed
+	// framing exactly.
 	cfg := streamCfg(LBLPointPermute, 8, 4)
 	r, proxy, _ := newLBLStream(t, cfg)
 	loadData(t, r, proxy, map[string][]byte{"k": make([]byte, 8)})
 
 	frames := 0
 	r.server.SetObserver(func(msgType byte, reqLen, respLen int) {
-		if msgType == MsgLBLAccessStream {
+		if msgType == MsgLBLAccess {
 			frames++
 		}
 	})
@@ -103,11 +103,11 @@ func TestLBLStreamStatsAndSingleCall(t *testing.T) {
 	if got := r.client.Stats().Calls - before; got != 1 {
 		t.Errorf("streamed access made %d logical calls, want 1", got)
 	}
-	if want := cfg.streamChunks() + 2; frames != want {
-		t.Errorf("streamed access crossed as %d frames, want %d (begin + chunks + end)", frames, want)
+	if want, _ := cfg.frames(1); frames != want {
+		t.Errorf("streamed access crossed as %d frames, want %d (head + continuations)", frames, want)
 	}
-	if stats.PrepBytes != cfg.StreamRequestBytes() {
-		t.Errorf("PrepBytes = %d, want %d", stats.PrepBytes, cfg.StreamRequestBytes())
+	if stats.PrepBytes != cfg.RequestBytes(1) {
+		t.Errorf("PrepBytes = %d, want %d", stats.PrepBytes, cfg.RequestBytes(1))
 	}
 	if stats.RespBytes != cfg.Groups()*prf.Size {
 		t.Errorf("RespBytes = %d, want %d", stats.RespBytes, cfg.Groups()*prf.Size)
@@ -115,36 +115,33 @@ func TestLBLStreamStatsAndSingleCall(t *testing.T) {
 }
 
 func TestLBLStreamFallbackMonolithic(t *testing.T) {
-	// A chunk budget the whole table fits in must fall back to the
-	// monolithic single-frame path: no stream frames on the wire.
+	// A chunk budget the whole table fits in must send the access as
+	// one frame: no continuation frames on the wire.
 	cfg := LBLConfig{ValueSize: 8, Mode: LBLPointPermute}
 	cfg.StreamChunkBytes = cfg.TableBytes() // one chunk: no overlap to win
-	if cfg.streaming() {
-		t.Fatal("single-chunk config claims to stream")
+	if k, _ := cfg.frames(1); k != 1 {
+		t.Fatalf("single-chunk config frames an access as %d frames", k)
 	}
 	r, proxy, _ := newLBLStream(t, cfg)
 	loadData(t, r, proxy, map[string][]byte{"k": make([]byte, 8)})
-	mono, streamed := 0, 0
+	frames := 0
 	r.server.SetObserver(func(msgType byte, reqLen, respLen int) {
-		switch msgType {
-		case MsgLBLAccess:
-			mono++
-		case MsgLBLAccessStream:
-			streamed++
+		if msgType == MsgLBLAccess {
+			frames++
 		}
 	})
 	if _, _, err := proxy.Access(OpWrite, "k", bytes.Repeat([]byte{1}, 8)); err != nil {
 		t.Fatal(err)
 	}
-	if mono != 1 || streamed != 0 {
-		t.Errorf("single-chunk access used %d monolithic / %d stream frames, want 1/0", mono, streamed)
+	if frames != 1 {
+		t.Errorf("single-chunk access used %d frames, want 1", frames)
 	}
 }
 
 func TestLBLStreamBatch(t *testing.T) {
 	cfg := streamCfg(LBLPointPermute, 8, 2)
 	const n = 9
-	if !cfg.batchStreaming(n) {
+	if k, _ := cfg.frames(n); k == 1 {
 		t.Fatalf("batch of %d does not stream under budget %dB", n, cfg.StreamChunkBytes)
 	}
 	r, proxy, _ := newLBLStream(t, cfg)
@@ -189,8 +186,8 @@ func lblStreamObsRig(cfg LBLConfig) func(t *testing.T) (*rig, Accessor) {
 }
 
 // TestObliviousnessLBLStream extends the adversary's-view comparison
-// to the streamed path: every frame of a streamed access — begin,
-// each chunk, end — is observed individually, and the per-frame
+// to the streamed path: every frame of a streamed access — the head
+// and each continuation — is observed individually, and the per-frame
 // multisets of (type, reqLen, respLen) must be identical between pure
 // reads and pure writes.
 func TestObliviousnessLBLStream(t *testing.T) {
@@ -203,8 +200,9 @@ func TestObliviousnessLBLStream(t *testing.T) {
 			writes := observedRun(t, lblStreamObsRig(cfg), OpWrite, valueSize, ops)
 			assertIdenticalViews(t, reads, writes)
 			// The streamed path was genuinely on: more frames than
-			// accesses, in the exact begin+chunks+end count.
-			want := ops * (cfg.streamChunks() + 2)
+			// accesses, in the exact k frames each.
+			k, _ := cfg.frames(1)
+			want := ops * k
 			if len(reads) != want {
 				t.Errorf("observed %d stream frames for %d accesses, want %d", len(reads), ops, want)
 			}
@@ -255,9 +253,9 @@ func TestObliviousnessLBLStreamTraced(t *testing.T) {
 }
 
 // TestLBLStreamSimulatorParity checks the frame-by-frame ROR-RW
-// projection: the real streamed request and SimulateStream's output
+// projection: the real streamed request and the simulator's output
 // have identical frame counts and per-frame lengths, and the simulated
-// frames carry the exact segment headers the wire format pins.
+// frames carry the exact frame headers the wire format pins.
 func TestLBLStreamSimulatorParity(t *testing.T) {
 	for _, mode := range allLBLModes() {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -266,7 +264,7 @@ func TestLBLStreamSimulatorParity(t *testing.T) {
 			loadData(t, r, proxy, map[string][]byte{"k": make([]byte, 8)})
 			var real []int
 			r.server.SetObserver(func(msgType byte, reqLen, respLen int) {
-				if msgType == MsgLBLAccessStream {
+				if msgType == MsgLBLAccess {
 					real = append(real, reqLen)
 				}
 			})
@@ -278,14 +276,14 @@ func TestLBLStreamSimulatorParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			frames, err := sim.SimulateStream("k")
+			frames, err := sim.Simulate("k")
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(frames) != len(real) {
 				t.Fatalf("simulator emitted %d frames, real stream %d", len(frames), len(real))
 			}
-			// The begin frame's observation is recorded with its paired
+			// The head frame's observation is recorded with its paired
 			// response, after the continuation frames — compare as
 			// multisets of frame lengths.
 			simLens := make([]int, len(frames))
@@ -300,21 +298,18 @@ func TestLBLStreamSimulatorParity(t *testing.T) {
 					t.Fatalf("frame length multisets differ: simulated %v, real %v", simLens, realLens)
 				}
 			}
-			// Header structure: begin, then indexed chunks, then end.
-			if frames[0][0] != 0x01 || frames[0][1] != 0x00 {
-				t.Errorf("begin frame header = % x", frames[0][:2])
+			// Header structure: the head, then continuations.
+			if frames[0][0] != byte(mode) {
+				t.Errorf("head frame opens with %#x, want mode %#x", frames[0][0], byte(mode))
 			}
-			for i := 1; i < len(frames)-1; i++ {
-				if frames[i][0] != 0x02 {
-					t.Errorf("frame %d kind = %#x, want chunk", i, frames[i][0])
+			for i := 1; i < len(frames); i++ {
+				if frames[i][0] != lblContinuation || frames[i][1] != byte(mode) {
+					t.Errorf("frame %d header = % x, want continuation of mode %#x", i, frames[i][:2], byte(mode))
 				}
-			}
-			if frames[len(frames)-1][0] != 0x03 {
-				t.Errorf("last frame kind = %#x, want end", frames[len(frames)-1][0])
 			}
 			// Fresh randomness: a second simulated stream has the same
 			// shape but different bytes.
-			again, err := sim.SimulateStream("k")
+			again, err := sim.Simulate("k")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -378,9 +373,9 @@ func TestLBLStreamBlackholedResponse(t *testing.T) {
 	}
 	plan.SetActive(false)
 
-	// The next access first resolves the parked streamed round (dedup
-	// replay of a rebuilt monolithic frame under the same id), then
-	// reads at the settled counter.
+	// The next access first resolves the parked streamed round (a probe
+	// at the parked counter, rejected stale because the write applied),
+	// then reads at the settled counter.
 	got, _, err := proxy.Access(OpRead, "k", nil)
 	if err != nil {
 		t.Fatalf("read after ambiguous streamed write: %v", err)

@@ -42,7 +42,6 @@ var Experiments = []Experiment{
 	{"oram-rounds", "one-round vs two-round tree ORAM (§8 sketch)", ORAMRounds},
 	{"stages", "measured LBL per-stage latency breakdown (Fig 3c companion)", Stages},
 	{"trace", "Fig 3c breakdown from one cross-process distributed trace (observability extension)", TraceBreakdown},
-	{"bench", "LBL kernel microbenchmarks with JSON output (perf baseline)", Bench},
 	{"stream", "chunk-streamed table build pipelined against the wire vs monolithic (perf extension)", Stream},
 }
 

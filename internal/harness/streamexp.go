@@ -122,7 +122,7 @@ func runStreamPath(cfg core.LBLConfig, rounds int, link netsim.Link) (streamRun,
 	var mu sync.Mutex
 	accessFrames := 0
 	serverTS.SetObserver(func(msgType byte, reqLen, respLen int) {
-		if msgType != core.MsgLBLAccess && msgType != core.MsgLBLAccessStream {
+		if msgType != core.MsgLBLAccess {
 			return
 		}
 		mu.Lock()
@@ -266,51 +266,6 @@ func streamFaultDrill(cfg core.LBLConfig, accesses int) (resets int64, failed in
 	return plan.Stats().Resets, failed, nil
 }
 
-// StreamBench is the bench experiment's streamed-vs-monolithic
-// end-to-end point (BenchReport.Stream). It is additive: the bench
-// regression gate reads only the kernel sections, so baselines
-// written before this section exist stay comparable.
-type StreamBench struct {
-	ValueSize     int     `json:"value_size"`
-	Chunks        int     `json:"chunks"`
-	ChunkBytes    int     `json:"chunk_bytes"`
-	BandwidthBps  int64   `json:"link_bandwidth_bps"`
-	RTTMillis     float64 `json:"link_rtt_ms"`
-	MonoMsPerOp   float64 `json:"monolithic_ms_per_op"`
-	StreamMsPerOp float64 `json:"streamed_ms_per_op"`
-	Speedup       float64 `json:"speedup"`
-}
-
-// measureStreamBench runs the calibrated monolithic-vs-streamed pair
-// at valueSize and returns the machine-readable point.
-func measureStreamBench(valueSize, rounds int) (StreamBench, error) {
-	mono := core.LBLConfig{ValueSize: valueSize, Mode: core.LBLPointPermute}
-	streamed := mono
-	streamed.StreamChunkBytes = (mono.TableBytes() + streamChunksTarget - 1) / streamChunksTarget
-	link, _, err := calibrateStreamLink(mono)
-	if err != nil {
-		return StreamBench{}, err
-	}
-	monoRun, err := runStreamPath(mono, rounds, link)
-	if err != nil {
-		return StreamBench{}, fmt.Errorf("monolithic path: %w", err)
-	}
-	strRun, err := runStreamPath(streamed, rounds, link)
-	if err != nil {
-		return StreamBench{}, fmt.Errorf("streamed path: %w", err)
-	}
-	return StreamBench{
-		ValueSize:     valueSize,
-		Chunks:        strRun.frames - 2, // begin + chunks + end
-		ChunkBytes:    streamed.StreamChunkBytes,
-		BandwidthBps:  link.Bandwidth,
-		RTTMillis:     float64(link.RTT) / 1e6,
-		MonoMsPerOp:   float64(monoRun.perOp) / 1e6,
-		StreamMsPerOp: float64(strRun.perOp) / 1e6,
-		Speedup:       float64(monoRun.perOp) / float64(strRun.perOp),
-	}, nil
-}
-
 // Stream measures the chunked-streaming request path against the
 // monolithic one at large values over a calibrated WAN link, then
 // drives the streamed path through a mid-stream fault drill.
@@ -346,10 +301,10 @@ func Stream(opt Options) (*Table, error) {
 	speedup := float64(monoRun.perOp) / float64(strRun.perOp)
 
 	// Framing witnesses: the monolithic path must cross as one frame
-	// per access, the streamed path as begin + chunks + end, and no
-	// streamed request frame may exceed the chunk budget plus its fixed
-	// headers — that bound is what caps per-stream buffering on both
-	// ends instead of a whole-table frame.
+	// per access, the streamed path as its k chunk-bounded frames, and
+	// no streamed request frame may exceed the chunk budget plus its
+	// headers — that bound is what caps the proxy's per-round table
+	// buffering instead of a whole-table frame.
 	if monoRun.frames != 1 {
 		return nil, fmt.Errorf("harness: monolithic path crossed as %d frames per access, want 1", monoRun.frames)
 	}

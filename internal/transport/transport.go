@@ -61,13 +61,13 @@ const (
 	flagResponse = 1 << 0
 	flagError    = 1 << 1
 	flagBusy     = 1 << 2
-	// flagStream marks a request frame that belongs to a chunked
-	// stream: the first such frame for a (session, id) opens the
-	// stream and dispatches the handler; later frames with the same id
-	// are continuation chunks consumed by that handler via
-	// StreamFrom(ctx). The server answers the whole stream with the
-	// single response frame the handler returns.
-	flagStream = 1 << 3
+	// flagHead marks the head frame of a request sent as several
+	// frames (CallStreamContextID): it dispatches the handler, which
+	// reads the request's continuation frames — flagCont, same id —
+	// via StreamFrom(ctx). The server answers the whole request with
+	// the one response the handler returns.
+	flagHead = 1 << 3
+	flagCont = 1 << 4
 )
 
 // MsgBusy is the message type of an admission-rejection response: the
@@ -124,8 +124,8 @@ func IsReplayEvicted(err error) bool {
 	return errors.As(err, &re) && re.Msg == replayEvictedMsg
 }
 
-// A NotSentError reports a streamed call that failed before any frame
-// went on the wire: the outcome is definite — the peer never saw the
+// A NotSentError reports a call that failed before any frame went on
+// the wire: the outcome is definite — the peer never saw the
 // request — so Ambiguous reports false for it and stateful callers may
 // rebuild and reissue freely.
 type NotSentError struct{ Err error }
@@ -508,22 +508,23 @@ func (s *Server) untrack(conn net.Conn) {
 	}
 }
 
-// streamChunkBuffer bounds how many undelivered chunk frames a stream
+// streamChunkBuffer bounds how many undelivered continuation frames a
 // handler can fall behind by before the connection's read loop blocks,
 // back-pressuring the sender through TCP instead of buffering an
-// unbounded table in server memory.
+// unbounded request in server memory.
 const streamChunkBuffer = 8
 
-// A StreamReader delivers the continuation chunk payloads of a
-// streamed request (flagStream) to its handler, in arrival order.
+// A StreamReader delivers the continuation frame payloads of a
+// multi-frame request (flagHead, flagCont) to its handler, in arrival
+// order.
 type StreamReader struct {
 	ch       chan []byte
 	connDone chan struct{} // closed when the carrying connection's read loop exits
 }
 
-// Next returns the next chunk payload, blocking until one arrives, ctx
-// expires, or the carrying connection is lost (no more chunks can ever
-// arrive).
+// Next returns the next continuation payload, blocking until one
+// arrives, ctx expires, or the carrying connection is lost (no more
+// frames can ever arrive).
 func (sr *StreamReader) Next(ctx context.Context) ([]byte, error) {
 	select {
 	case p := <-sr.ch:
@@ -549,21 +550,35 @@ func (sr *StreamReader) Next(ctx context.Context) ([]byte, error) {
 type streamCtxKey struct{}
 
 // StreamFrom returns the request's StreamReader when the handler was
-// dispatched for a streamed request, or nil for a monolithic one.
+// dispatched for a head frame, or nil for a one-frame request.
 func StreamFrom(ctx context.Context) *StreamReader {
 	sr, _ := ctx.Value(streamCtxKey{}).(*StreamReader)
 	return sr
 }
 
-// streamState is the read loop's record of one active inbound stream.
+// WithStream returns ctx carrying a StreamReader that delivers frames
+// in order and then reports its connection lost: a head frame's stream
+// without a connection, for driving (and fuzzing) multi-frame decoders
+// directly.
+func WithStream(ctx context.Context, frames [][]byte) context.Context {
+	sr := &StreamReader{ch: make(chan []byte, len(frames)), connDone: make(chan struct{})}
+	for _, f := range frames {
+		sr.ch <- f
+	}
+	close(sr.connDone)
+	return context.WithValue(ctx, streamCtxKey{}, sr)
+}
+
+// streamState is the read loop's record of one multi-frame request
+// whose handler is running.
 type streamState struct {
 	ch   chan []byte
 	done chan struct{} // closed when the stream's handler has produced its response
 }
 
 // auditFrame records a single direction-only frame observation (a
-// stream continuation chunk, which has no paired response) with the
-// shape auditor, if installed.
+// continuation frame, which has no paired response) with the shape
+// auditor, if installed.
 func (s *Server) auditFrame(msgType byte, payload []byte) {
 	s.shapeMu.RLock()
 	a, classify := s.shapeAud, s.shapeClassify
@@ -585,12 +600,12 @@ func (s *Server) serveConn(conn net.Conn) {
 	var pending sync.WaitGroup
 	defer pending.Wait()
 	// connDone closes before pending.Wait runs (defers are LIFO), so a
-	// stream handler blocked on chunks that will never arrive wakes up
-	// instead of deadlocking shutdown.
+	// handler blocked on continuation frames that will never arrive
+	// wakes up instead of deadlocking shutdown.
 	connDone := make(chan struct{})
 	defer close(connDone)
-	// streams tracks active inbound streams by request id. Only this
-	// read loop touches the map; handlers see the chunk channel.
+	// streams tracks multi-frame requests by id. Only this read loop
+	// touches the map; handlers see the frame channel.
 	var streams map[uint64]*streamState
 	for {
 		sid, id, tr, budget, msgType, flags, payload, err := readFrame(conn)
@@ -609,53 +624,43 @@ func (s *Server) serveConn(conn net.Conn) {
 			m.framesIn.Inc()
 			m.bytesIn.Add(int64(headerSize + len(payload)))
 		}
-		var sr *StreamReader
-		if flags&flagStream != 0 {
-			isBegin := len(payload) > 0 && payload[0] == wire.StreamBegin
+		if flags&flagCont != 0 {
+			// A continuation frame crossed the wire whatever becomes of
+			// it, so it is audited as the adversary sees it first.
+			s.auditFrame(msgType, payload)
+			s.observe(msgType, len(payload), 0)
 			if st, ok := streams[id]; ok {
-				stale := false
+				// Feed the running handler. A full buffer blocks this read
+				// loop — deliberate backpressure — unless the handler
+				// finishes first (answered, shed, or errored), after which
+				// the id's remaining frames are dropped.
+				select {
+				case st.ch <- payload:
+				case <-st.done:
+					delete(streams, id)
+				}
+			}
+			continue
+		}
+		if flags&flagHead != 0 {
+			// Head frame: dispatch it like a one-frame request with a
+			// reader for its continuations attached. (A retried head
+			// re-dispatches here and is answered from the dedup cache
+			// like any retry.) Streams whose handlers have finished are
+			// forgotten first.
+			for old, st := range streams {
 				select {
 				case <-st.done:
-					// The handler already answered (shed, errored, or
-					// completed): the id's stream is over.
-					stale = true
-					delete(streams, id)
+					delete(streams, old)
 				default:
 				}
-				if !stale {
-					// Continuation chunk: audit it as the adversary sees
-					// it, then feed the handler. A full buffer blocks
-					// this read loop — deliberate backpressure — unless
-					// the handler finishes first.
-					s.auditFrame(msgType, payload)
-					s.observe(msgType, len(payload), 0)
-					select {
-					case st.ch <- payload:
-					case <-st.done:
-						delete(streams, id)
-					}
-					continue
-				}
 			}
-			if !isBegin {
-				// A chunk with no open stream: its handler already
-				// finished (early error, shed, or dedup replay). The
-				// frame still crossed the wire, so it is still audited,
-				// then dropped.
-				s.auditFrame(msgType, payload)
-				s.observe(msgType, len(payload), 0)
-				continue
-			}
-			// Begin frame: open the stream, then dispatch the begin
-			// payload like a normal request with the reader attached.
-			// (A retried begin re-dispatches here and is answered from
-			// the dedup cache like any monolithic retry.)
 			if streams == nil {
 				streams = make(map[uint64]*streamState)
 			}
 			st := &streamState{ch: make(chan []byte, streamChunkBuffer), done: make(chan struct{})}
 			streams[id] = st
-			sr = &StreamReader{ch: st.ch, connDone: connDone}
+			sr := &StreamReader{ch: st.ch, connDone: connDone}
 			pending.Add(1)
 			go func() {
 				defer pending.Done()
@@ -673,7 +678,7 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 // serveRequest admits, executes, and answers one request frame (the
-// begin frame, for a streamed request).
+// head frame, for a multi-frame request).
 func (s *Server) serveRequest(conn net.Conn, wmu *sync.Mutex, sid, id uint64, tr trace.SpanContext, deadline time.Time, msgType byte, payload []byte, m *serverMetrics, sr *StreamReader) {
 	var flags byte
 	var resp []byte
@@ -712,9 +717,9 @@ func (s *Server) serveRequest(conn net.Conn, wmu *sync.Mutex, sid, id uint64, tr
 }
 
 // respondReleasing runs respond under an admission slot, releasing it
-// however the handler exits. A streamed request holds its one slot for
-// the whole stream: admission happened at the begin frame, and chunks
-// ride the already-admitted call.
+// however the handler exits. A multi-frame request holds its one slot for
+// all its frames: admission happened at the head frame, and
+// continuations ride the already-admitted call.
 func (s *Server) respondReleasing(adm *admission, sid, id uint64, tr trace.SpanContext, deadline time.Time, msgType byte, payload []byte, m *serverMetrics, sr *StreamReader) (byte, []byte) {
 	defer adm.release()
 	return s.respond(sid, id, tr, deadline, msgType, payload, m, sr)
@@ -1153,14 +1158,16 @@ var errStreamDone = errors.New("transport: stream already answered")
 
 // CallStreamContextID issues one logical request as a chunked stream
 // of frames sharing the request id: produce is called with a send
-// function and emits the begin, chunk, and end payloads in order; the
-// call then blocks for the single response frame. The payload passed
-// to send is copied before send returns, so the producer may reuse one
-// buffer across chunks — peak memory stays bounded by the chunk size.
+// function and emits the payloads in order — the first goes out as
+// the head frame, the rest as its continuations, and the request's own
+// payload says how many there are — then the call blocks for the
+// single response frame. The payload passed to send is copied before
+// send returns, so the producer may reuse one buffer across frames —
+// peak memory stays bounded by the frame size.
 //
 // Streams are conn-affine (every frame rides one pooled connection, in
 // order) and never retried by the transport: a failure after the first
-// frame is ambiguous exactly like a monolithic send failure, and a
+// frame is ambiguous exactly like a one-frame send failure, and a
 // failure before it is reported as a *NotSentError, which Ambiguous
 // classifies as definite. send returns errStreamDone (an internal
 // sentinel) once the peer has answered early; produce should return
@@ -1241,11 +1248,12 @@ func (cc *clientConn) callStream(ctx context.Context, id uint64, tr trace.SpanCo
 		if aud != nil {
 			class, strictReq, strictResp := classify(msgType, payload)
 			if !registered {
-				// The response is audited under the begin frame's class.
+				// The response is audited under the head frame's class.
 				pc.class, pc.strictResp = class, strictResp
 			}
 			aud.Observe("out", msgType, class, strictReq, len(payload))
 		}
+		flags := byte(flagCont)
 		if !registered {
 			cc.mu.Lock()
 			if cc.dead != nil {
@@ -1257,9 +1265,10 @@ func (cc *clientConn) callStream(ctx context.Context, id uint64, tr trace.SpanCo
 			cc.pending[id] = pc
 			cc.mu.Unlock()
 			registered = true
+			flags = flagHead
 		}
 		cc.wmu.Lock()
-		err = writeFrame(conn, cc.client.session, id, tr, budget, msgType, flagStream, payload)
+		err = writeFrame(conn, cc.client.session, id, tr, budget, msgType, flags, payload)
 		cc.wmu.Unlock()
 		if err != nil {
 			return fmt.Errorf("transport: stream send: %w", err)
@@ -1273,8 +1282,8 @@ func (cc *clientConn) callStream(ctx context.Context, id uint64, tr trace.SpanCo
 			cc.mu.Lock()
 			delete(cc.pending, id)
 			cc.mu.Unlock()
-			// At least the begin frame may have reached the peer: the
-			// outcome is unknown, exactly like a monolithic send failure.
+			// At least the head frame may have reached the peer: the
+			// outcome is unknown, exactly like a one-frame send failure.
 			return nil, perr
 		}
 		return nil, &NotSentError{Err: perr}

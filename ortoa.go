@@ -403,14 +403,14 @@ type ClientConfig struct {
 	// peer's ranges; pair with ReconcileScan so adopted counters rebase
 	// (the adopter starts from its own, possibly stale, snapshot).
 	AutoAdopt bool
-	// StreamChunk, when positive, streams each LBL access table to the
-	// server in sealed chunks of about this many bytes as they are
-	// built (LBL only): the server trial-decrypts chunk by chunk while
-	// later chunks are still being garbled and in flight, pipelining
-	// proxy CPU against the WAN, and the proxy's peak table memory per
-	// access drops to roughly one chunk. Still one logical request and
-	// one response. Zero keeps the monolithic single-frame request;
-	// tables that fit in one chunk fall back to it automatically.
+	// StreamChunk, when positive, sends each LBL round whose tables
+	// exceed this many bytes as several request frames of at most this
+	// many table bytes, each written as soon as it is sealed (LBL only):
+	// the server trial-decrypts frame by frame while later frames are
+	// still being garbled and in flight, pipelining proxy CPU against
+	// the WAN, and the proxy's table memory per round drops to one
+	// frame. Still one logical request and one response. Zero sends
+	// every round as one frame, as does any budget its tables fit in.
 	StreamChunk int
 	// Metrics, when non-nil, instruments the trusted side: transport
 	// and per-stage access metrics are registered with it (serve them
@@ -668,7 +668,7 @@ type KVPair struct {
 
 // ReadBatch obliviously reads many keys and returns the values in
 // input order. Under ProtocolLBL the whole batch is packed into a
-// single MsgLBLAccessBatch round trip — one frame out, one frame back —
+// single MsgLBLAccess round trip — one frame out, one frame back —
 // amortizing the per-access framing and round-trip overhead (§5.2,
 // §6.3); the adversary learns only how many objects were accessed,
 // exactly as with the equivalent sequence of single accesses. Other
@@ -729,7 +729,7 @@ func (c *Client) readBatchConcurrent(keys []string) ([]KVPair, error) {
 }
 
 // WriteBatch obliviously writes many entries. Under ProtocolLBL the
-// batch is one MsgLBLAccessBatch round trip, indistinguishable at the
+// batch is one MsgLBLAccess round trip, indistinguishable at the
 // server from a ReadBatch of the same size; other protocols write
 // concurrently, one access per entry.
 func (c *Client) WriteBatch(entries map[string][]byte) error {
@@ -893,7 +893,7 @@ func (c *Client) ServeProxy(l net.Listener) error {
 type ProxyServeOptions struct {
 	// AggWindow, when positive, turns on cross-session access
 	// aggregation (ProtocolLBL only): concurrent end-user requests are
-	// coalesced into shared MsgLBLAccessBatch round trips. A window
+	// coalesced into shared batch round trips. A window
 	// dispatches at most AggWindow after its first access arrives —
 	// the latency each access may pay to buy the amortization.
 	AggWindow time.Duration

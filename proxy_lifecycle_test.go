@@ -179,7 +179,7 @@ func TestServeProxyAggregated(t *testing.T) {
 }
 
 // TestServeProxyAggregationRequiresLBL pins the configuration error:
-// aggregation coalesces into MsgLBLAccessBatch frames, which only the
+// aggregation coalesces into batch round frames, which only the
 // LBL protocol has.
 func TestServeProxyAggregationRequiresLBL(t *testing.T) {
 	server, err := NewServer(ServerConfig{Protocol: ProtocolBaseline2RTT, ValueSize: 8})
