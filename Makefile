@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify bench bench-batch bench-smoke fuzz-smoke trace-smoke aggregate-smoke failover-smoke overload-smoke stream-smoke crash experiments
+.PHONY: build test vet race verify bench bench-batch bench-smoke fuzz-smoke fig3c-smoke aggregate-smoke failover-smoke overload-smoke stream-smoke crash experiments
 
 build:
 	$(GO) build ./...
@@ -47,13 +47,15 @@ fuzz-smoke:
 		$(GO) test -run XXX -fuzz "^$$t$$" -fuzztime 15s -fuzzminimizetime 1s ./internal/core/ || exit 1; \
 	done
 
-# trace-smoke runs the one-trace Fig 3c experiment: a traced LBL
-# workload must yield a complete cross-process span tree whose stage
-# spans sum to the end-to-end span within 1%, with zero obliviousness
-# shape violations while tracing is on (DESIGN.md §13). The experiment
-# self-audits; a zero exit is the assertion.
-trace-smoke:
-	$(GO) run ./cmd/ortoa-bench -experiment trace -quick
+# fig3c-smoke runs the Fig 3c experiment in quick mode: at every value
+# size a traced, instrumented LBL workload must have stage-histogram
+# means summing to the end-to-end mean within 10%, a complete
+# cross-process trace whose stage spans sum to its root span within 1%,
+# and zero obliviousness shape violations while tracing is on
+# (DESIGN.md §8, §13). The experiment self-audits; a zero exit is the
+# assertion.
+fig3c-smoke:
+	$(GO) run ./cmd/ortoa-bench -experiment fig3c -quick
 
 # aggregate-smoke runs the cross-session aggregation experiment in
 # quick mode: 64 single-key sessions through the coalescing window vs

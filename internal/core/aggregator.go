@@ -111,7 +111,6 @@ func (c AggregatorConfig) brownoutMaxBatch() int {
 type Aggregator struct {
 	cfg     AggregatorConfig
 	backend BatchAccessor
-	tracer  atomic.Pointer[trace.Tracer]
 
 	mu      sync.Mutex
 	cur     *aggWindow // open window accepting arrivals, nil if none
@@ -130,11 +129,10 @@ type Aggregator struct {
 // An aggWaiter is one admitted access: its op and the buffered
 // channel its session blocks on.
 type aggWaiter struct {
-	op       BatchOp
-	ch       chan BatchResult
-	ctx      context.Context // caller context; a passed deadline drops the access unsent
-	admitted time.Time       // when the access joined the window
-	sp       *trace.Span     // agg_session span, ended when the result is delivered
+	op  BatchOp
+	ch  chan BatchResult
+	ctx context.Context // caller context; a passed deadline drops the access unsent
+	rec *obs.Recorder   // aggStages, ended when the result is delivered
 }
 
 // An aggWindow is one open or in-flight aggregation window. waiters
@@ -187,9 +185,7 @@ func (a *Aggregator) AccessContext(ctx context.Context, op Op, key string, newVa
 	}
 	a.pending++
 	a.accesses.Add(1)
-	if a.mx.enabled {
-		a.mx.queueDepth.Set(int64(a.pending))
-	}
+	a.mx.queueDepth.Set(int64(a.pending))
 	w := a.cur
 	if w == nil {
 		// First access of a new window: arm the time trigger. The
@@ -205,18 +201,16 @@ func (a *Aggregator) AccessContext(ctx context.Context, op Op, key string, newVa
 			}
 			a.brownouts.Add(1)
 		}
-		w = &aggWindow{limit: limit, sp: a.tracer.Load().StartRoot("agg_window")}
+		w = &aggWindow{limit: limit, sp: a.mx.tracer.StartRoot("agg_window")}
 		w.timer = time.AfterFunc(window, func() { a.timerFire(w) })
 		a.cur = w
 	}
-	var sp *trace.Span
-	if p := trace.FromContext(ctx); p != nil {
-		sp = p.Child("agg_session")
-	} else {
-		sp = w.sp.Child("agg_session")
+	parent := ctx
+	if w.sp != nil && trace.FromContext(ctx) == nil {
+		parent = trace.ContextWith(ctx, w.sp)
 	}
-	w.waiters = append(w.waiters, aggWaiter{op: BatchOp{Op: op, Key: key, Value: newValue},
-		ch: ch, ctx: ctx, admitted: time.Now(), sp: sp})
+	rec, _ := a.mx.session.Start(parent, aggWait)
+	w.waiters = append(w.waiters, aggWaiter{op: BatchOp{Op: op, Key: key, Value: newValue}, ch: ch, ctx: ctx, rec: rec})
 	full := len(w.waiters) >= w.limit
 	if full {
 		a.detachLocked(w)
@@ -230,14 +224,6 @@ func (a *Aggregator) AccessContext(ctx context.Context, op Op, key string, newVa
 	}
 	res := <-ch
 	return res.Value, stats, res.Err
-}
-
-// TraceWith attaches a tracer: subsequent windows record agg_window
-// spans parenting their sessions' agg_session spans.
-func (a *Aggregator) TraceWith(t *trace.Tracer) {
-	if t != nil {
-		a.tracer.Store(t)
-	}
 }
 
 // timerFire is the window's time trigger. It races the size trigger
@@ -283,43 +269,28 @@ func (a *Aggregator) dispatch(w *aggWindow) {
 		ops[i] = w.waiters[i].op
 	}
 	a.batches.Add(1)
-	if a.mx.enabled {
-		// The histogram's integer scale records a count, not a time:
-		// bucket k holds windows that coalesced ~2^k accesses.
-		a.mx.windowSize.Observe(time.Duration(n))
+	// The histogram's integer scale records a count, not a time: bucket
+	// k holds windows that coalesced ~2^k accesses.
+	a.mx.windowSize.Observe(time.Duration(n))
+	// Slowlog attribution: the time an access spent waiting for window
+	// mates is coalescing latency, not server time — its own stage,
+	// never folded into the batch_rpc stage.
+	for i := range w.waiters {
+		w.waiters[i].rec.Mark(aggRPC)
 	}
 	// The batch executes under the window's span: the proxy-side stage
 	// tree and the server's decrypt span join the window trace, shared
 	// by all n sessions.
-	dispatchedAt := time.Now()
 	results, _ := a.backend.AccessBatchResults(trace.ContextWith(context.Background(), w.sp), ops)
-	rpcDone := time.Now()
 	a.mu.Lock()
 	a.pending -= n
-	if a.mx.enabled {
-		a.mx.queueDepth.Set(int64(a.pending))
-	}
+	a.mx.queueDepth.Set(int64(a.pending))
 	a.mu.Unlock()
+	// The entry names the window, not the key: the plaintext key must
+	// never reach the slow log.
+	label := func() string { return fmt.Sprintf("window=%d", n) }
 	for i := range w.waiters {
-		w.waiters[i].sp.End()
-		if a.mx.enabled {
-			// Slowlog attribution: the time an access spent waiting for
-			// window mates is coalescing latency, not server time — it is
-			// reported as its own stage, never folded into the rpc stage.
-			wait := dispatchedAt.Sub(w.waiters[i].admitted)
-			total := wait + rpcDone.Sub(dispatchedAt)
-			if a.mx.slow.Worthy(total) {
-				a.mx.slow.Record(obs.Trace{
-					At:    w.waiters[i].admitted,
-					Label: fmt.Sprintf("window=%d key=%s", n, traceLabel([]byte(ops[i].Key))),
-					Total: total,
-					Stages: []obs.Stage{
-						{Name: "window_wait", D: wait},
-						{Name: "batch_rpc", D: rpcDone.Sub(dispatchedAt)},
-					},
-				})
-			}
-		}
+		w.waiters[i].rec.End(nil, label)
 	}
 	w.sp.End()
 	for i := range w.waiters {
@@ -336,7 +307,7 @@ func (a *Aggregator) shedExpired(w *aggWindow) {
 	for _, wt := range w.waiters {
 		if wt.ctx != nil && wt.ctx.Err() != nil {
 			dead++
-			wt.sp.End()
+			wt.rec.End(errDeadlineBeforeBuild, nil)
 			wt.ch <- BatchResult{Err: errDeadlineBeforeBuild}
 			continue
 		}
@@ -349,9 +320,7 @@ func (a *Aggregator) shedExpired(w *aggWindow) {
 	a.expired.Add(int64(dead))
 	a.mu.Lock()
 	a.pending -= dead
-	if a.mx.enabled {
-		a.mx.queueDepth.Set(int64(a.pending))
-	}
+	a.mx.queueDepth.Set(int64(a.pending))
 	a.mu.Unlock()
 }
 
@@ -410,16 +379,18 @@ func (a *Aggregator) Stats() AggregatorStats {
 
 // aggObs instruments the aggregation front end.
 type aggObs struct {
-	enabled    bool
-	windowSize *obs.Histogram // accesses coalesced per dispatched window
-	queueDepth *obs.Gauge     // admitted accesses awaiting an answer
-	slow       *obs.SlowLog   // slowest aggregated accesses, window metadata attached
+	session    *obs.StageTimer // aggStages: agg_session spans and the slowest accesses
+	tracer     *trace.Tracer   // roots each window's agg_window span
+	windowSize *obs.Histogram  // accesses coalesced per dispatched window
+	queueDepth *obs.Gauge      // admitted accesses awaiting an answer
 }
 
-// Instrument registers the aggregator's metrics (ortoa_agg_*) with
-// reg. Call before serving accesses; a nil registry leaves the
-// aggregator uninstrumented.
-func (a *Aggregator) Instrument(reg *obs.Registry) {
+// Instrument instruments the aggregator as part of process proc: it
+// registers the aggregator's metrics (ortoa_agg_*) with reg, and each
+// window records an agg_window span in proc's tracer, parenting its
+// sessions' agg_session spans. Call before serving accesses; a nil
+// registry leaves the aggregator uninstrumented.
+func (a *Aggregator) Instrument(reg *obs.Registry, proc string) {
 	if reg == nil {
 		return
 	}
@@ -428,12 +399,14 @@ func (a *Aggregator) Instrument(reg *obs.Registry) {
 	reg.CounterFunc("ortoa_agg_rejected_total", "accesses refused by the pending-budget backpressure", a.rejected.Load)
 	reg.CounterFunc("ortoa_agg_brownout_windows_total", "aggregation windows opened in brownout mode (pending depth past BrownoutPending)", a.brownouts.Load)
 	reg.CounterFunc("ortoa_agg_expired_total", "admitted accesses answered unsent because their deadline passed while coalescing", a.expired.Load)
+	session := aggStages.Timer(reg, proc, "", "")
+	session.Slow = reg.SlowLog("agg_access", 32)
 	a.mx = aggObs{
-		enabled: true,
+		session: session,
+		tracer:  reg.Tracer(proc, 0),
 		windowSize: reg.Histogram("ortoa_agg_window_accesses",
 			"accesses coalesced per dispatched window (integer count on the duration scale)"),
 		queueDepth: reg.Gauge("ortoa_agg_queue_depth",
 			"admitted accesses waiting in the open window or in flight"),
-		slow: reg.SlowLog("agg_access", 32),
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"sort"
@@ -377,7 +378,7 @@ func TestAggregatorSlowlogWindowMetadata(t *testing.T) {
 	const n = 4
 	_, _, agg := newAggRig(t, n, 4, AggregatorConfig{Window: time.Hour, MaxBatch: n})
 	reg := obs.NewRegistry()
-	agg.Instrument(reg)
+	agg.Instrument(reg, "proxy")
 
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -414,6 +415,16 @@ func TestAggregatorSlowlogWindowMetadata(t *testing.T) {
 		}
 		if sum != e.Total {
 			t.Fatalf("entry %q stages sum to %v but total is %v: latency misattributed", e.Label, sum, e.Total)
+		}
+		// Plaintext keys never reach the log, not even as the hex of a
+		// prefix.
+		for i := 0; i < n; i++ {
+			key := []byte(fmt.Sprintf("key-%02d", i))
+			for l := 2; l <= len(key); l++ {
+				if strings.Contains(e.Label, hex.EncodeToString(key[:l])) || strings.Contains(e.Label, string(key[:l])) {
+					t.Fatalf("entry label %q leaks plaintext key prefix %q", e.Label, key[:l])
+				}
+			}
 		}
 	}
 }

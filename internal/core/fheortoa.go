@@ -5,13 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"ortoa/internal/crypto/prf"
 	"ortoa/internal/fhe"
 	"ortoa/internal/kvstore"
 	"ortoa/internal/obs"
-	"ortoa/internal/obs/trace"
 	"ortoa/internal/transport"
 	"ortoa/internal/wire"
 )
@@ -62,7 +60,7 @@ type FHEServer struct {
 	params    fhe.Parameters
 	maxDegree int
 	store     *kvstore.Store
-	mx        fheServerObs
+	mx        *obs.StageTimer // fheServerStages (Instrument)
 
 	mu  sync.RWMutex
 	rlk *fhe.RelinKey
@@ -101,11 +99,8 @@ func (s *FHEServer) relinKey() *fhe.RelinKey {
 }
 
 func (s *FHEServer) handleAccess(ctx context.Context, payload []byte) ([]byte, error) {
-	sp := trace.StartChild(ctx, "server_fhe_eval")
-	defer sp.End()
-	if s.mx.enabled {
-		defer s.mx.eval.Since(time.Now())
-	}
+	rec, _ := s.mx.Start(ctx, obs.Idle)
+	defer rec.End(nil, nil)
 	r := wire.NewReader(payload)
 	encKey := r.Raw(prf.Size)
 	rawR := r.BytesPfx()
@@ -175,7 +170,7 @@ type FHEClient struct {
 	prf    *prf.PRF
 	sk     *fhe.SecretKey
 	client *transport.Client
-	mx     fheClientObs
+	mx     *obs.StageTimer // fheStages (Instrument)
 }
 
 // ProvisionRelinKey generates a relinearization key (using
@@ -256,8 +251,7 @@ func (c *FHEClient) NoiseBudgetOf(record []byte) (int, error) {
 // FHE(c_w), and FHE(v_new) and decrypts the homomorphic result. After
 // too many accesses to the same object the accumulated noise corrupts
 // decryption; the error wraps fhe.ErrNoiseOverflow.
-func (c *FHEClient) Access(op Op, key string, newValue []byte) ([]byte, AccessStats, error) {
-	var stats AccessStats
+func (c *FHEClient) Access(op Op, key string, newValue []byte) (value []byte, stats AccessStats, err error) {
 	if op == OpWrite && len(newValue) != c.cfg.ValueSize {
 		return nil, stats, ErrValueSize
 	}
@@ -270,21 +264,19 @@ func (c *FHEClient) Access(op Op, key string, newValue []byte) ([]byte, AccessSt
 		crBit, cwBit = 1, 0
 		vNew = make([]byte, c.cfg.ValueSize) // 'empty' value (§3.1)
 	}
-	sw := obs.StartWatch(c.mx.enabled)
+	rec, ctx := c.mx.Start(context.Background(), clientPrepare)
+	defer func() { rec.End(err, nil) }()
 	params := c.cfg.Params
 	ctR, err := params.Encrypt(c.sk, params.EncodeBit(crBit))
 	if err != nil {
-		c.mx.errors.Inc()
 		return nil, stats, err
 	}
 	ctW, err := params.Encrypt(c.sk, params.EncodeBit(cwBit))
 	if err != nil {
-		c.mx.errors.Inc()
 		return nil, stats, err
 	}
 	ctNew, err := c.encryptValue(vNew)
 	if err != nil {
-		c.mx.errors.Inc()
 		return nil, stats, err
 	}
 
@@ -295,36 +287,28 @@ func (c *FHEClient) Access(op Op, key string, newValue []byte) ([]byte, AccessSt
 	w.BytesPfx(ctW.Marshal(params))
 	w.BytesPfx(ctNew.Marshal(params))
 	stats.PrepBytes = w.Len()
-	dEncrypt := sw.Lap(c.mx.encrypt)
+	rec.Mark(clientRPC)
 
-	resp, err := c.client.Call(MsgFHEAccess, w.Bytes())
+	resp, err := c.client.CallContext(rec.Context(ctx), MsgFHEAccess, w.Bytes())
 	if err != nil {
-		c.mx.errors.Inc()
 		return nil, stats, err
 	}
-	dRPC := sw.Lap(c.mx.rpc)
+	rec.Mark(clientFinish)
 	stats.RespBytes = len(resp)
 
 	res, err := fhe.UnmarshalCiphertext(params, resp)
 	if err != nil {
-		c.mx.errors.Inc()
 		return nil, stats, err
 	}
 	coeffs, err := params.Decrypt(c.sk, res)
 	if err != nil {
-		c.mx.errors.Inc()
 		return nil, stats, err
 	}
-	value, err := params.DecodeBytes(coeffs)
-	if err != nil {
-		c.mx.errors.Inc()
+	if value, err = params.DecodeBytes(coeffs); err != nil {
 		return nil, stats, err
 	}
 	if len(value) != c.cfg.ValueSize {
-		c.mx.errors.Inc()
 		return nil, stats, fmt.Errorf("core: decrypted %d bytes, want %d: %w", len(value), c.cfg.ValueSize, fhe.ErrNoiseOverflow)
 	}
-	dDecrypt := sw.Lap(c.mx.decrypt)
-	c.mx.e2e.Observe(dEncrypt + dRPC + dDecrypt)
 	return value, stats, nil
 }

@@ -8,12 +8,10 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ortoa/internal/crypto/prf"
 	"ortoa/internal/crypto/secretbox"
 	"ortoa/internal/obs"
-	"ortoa/internal/obs/trace"
 	"ortoa/internal/transport"
 	"ortoa/internal/wire"
 )
@@ -287,34 +285,12 @@ type LBLProxy struct {
 	prf      *prf.PRF
 	counters *counterTable
 	client   *transport.Client
-	tracer   atomic.Pointer[trace.Tracer]
 	// epochs holds the proxy's last granted epoch per counter range,
 	// stamped into every access frame (epoch.go). All zeros — the
 	// single-proxy state — stamps legacy epoch-0 claims the server
 	// always admits.
 	epochs [NumRanges]atomic.Uint64
 	mx     lblProxyObs
-}
-
-// TraceWith attaches a tracer: subsequent accesses record per-stage
-// span trees, and their trace ids ride the request frames so the
-// server's spans join the same trace.
-func (p *LBLProxy) TraceWith(t *trace.Tracer) {
-	if t != nil {
-		p.tracer.Store(t)
-	}
-}
-
-// traceStart opens the root span for one proxy-side operation: a child
-// of the caller's span when the request arrived traced (the proxy front
-// end's server_handle span), else a fresh root from the proxy's own
-// tracer, else nil no-op spans throughout.
-func (p *LBLProxy) traceStart(ctx context.Context, name string) (*trace.Span, context.Context) {
-	if sp := trace.FromContext(ctx); sp != nil {
-		c := sp.Child(name)
-		return c, trace.ContextWith(ctx, c)
-	}
-	return p.tracer.Load().Start(ctx, name)
 }
 
 // NewLBLProxy returns a proxy using f as its PRF and client to reach
@@ -423,21 +399,20 @@ type roundKey struct {
 // reports such per-key rejections in its response instead.
 func (p *LBLProxy) round(ctx context.Context, single bool, keys []roundKey) (AccessStats, error) {
 	var stats AccessStats
-	name, st := "lbl_access_batch", p.mx.batch
+	timer := p.mx.batch
 	if single {
-		name, st = "lbl_access", p.mx.single
+		timer = p.mx.single
+	} else {
+		p.mx.batchKeys.Add(int64(len(keys)))
 	}
-	root, ctx := p.traceStart(ctx, name)
-	defer root.End()
+	rec, ctx := timer.Start(ctx, lblAcquire)
 	fail := func(err error) (AccessStats, error) {
 		for i := range keys {
 			if keys[i].err == nil {
 				keys[i].err = err
 			}
 		}
-		if single {
-			p.mx.errors.Inc()
-		}
+		rec.End(err, nil)
 		return stats, err
 	}
 
@@ -445,8 +420,6 @@ func (p *LBLProxy) round(ctx context.Context, single bool, keys []roundKey) (Acc
 	// a key's accesses must not interleave (see counterTable). Counters
 	// are taken in sorted key order, so concurrent rounds cannot
 	// deadlock.
-	sw := obs.StartWatch(p.mx.enabled)
-	spAcq := root.Child("counter_acquire")
 	for i := range keys {
 		keys[i].entry = p.counters.acquire(keys[i].key)
 	}
@@ -462,19 +435,12 @@ func (p *LBLProxy) round(ctx context.Context, single bool, keys []roundKey) (Acc
 	for i := range keys {
 		if keys[i].entry.pending != nil {
 			if err := p.resolvePending(keys[i].key, keys[i].entry); err != nil {
-				spAcq.End()
 				return fail(err)
 			}
 		}
 	}
-	spAcq.End()
-	dAcquire := sw.Lap(st.acquire)
-	if !single {
-		p.mx.batchKeys.Add(int64(len(keys)))
-	}
 
 	var resp []byte
-	var dBuild, dRPC time.Duration
 	// Each recovery transition below is bounded per round, and they may
 	// chain: an adoption (fence → claim) typically exposes a
 	// desynchronized counter on its retry (the adopter starts from a
@@ -493,26 +459,23 @@ func (p *LBLProxy) round(ctx context.Context, single bool, keys []roundKey) (Acc
 		if ctx.Err() != nil {
 			return fail(errDeadlineBeforeBuild)
 		}
+		rec.Mark(lblBuild)
 		for i := range keys {
 			keys[i].ct = keys[i].entry.ct
 		}
 		id := p.client.NextID()
 		var req *wire.Writer
-		var build time.Duration
 		var err error
-		resp, req, build, err = p.sendRound(ctx, root, id, keys)
-		rpc := max(sw.Lap(nil)-build, 0)
-		dBuild += build
-		dRPC += rpc
-		if p.mx.enabled {
-			st.build.Observe(build)
-			st.rpc.Observe(rpc)
-		}
+		resp, req, err = p.sendRound(ctx, rec, id, keys)
 		stats.PrepBytes = p.cfg.RequestBytes(len(keys))
 		if err == nil {
+			rec.Mark(lblRecover)
 			wire.PutWriter(req)
 			break
 		}
+		// A failed round trip ends its stage here: recovery work before
+		// a retry belongs to no stage.
+		rec.Mark(obs.Idle)
 		if transport.Ambiguous(err) {
 			// The round may have executed. Park it on every key, which
 			// then settles its own share of the outcome on its next
@@ -534,7 +497,6 @@ func (p *LBLProxy) round(ctx context.Context, single bool, keys []roundKey) (Acc
 			claimed++
 			p.mx.fencedRounds.Inc()
 			if _, cerr := p.ClaimRange(RangeOf(keys[0].key)); cerr == nil {
-				sw.Lap(nil)
 				continue
 			}
 		} else if len(keys) == 1 && reconciled < recoveryAllowance && p.cfg.ReconcileScan > 0 && isStaleRound(err) {
@@ -545,7 +507,6 @@ func (p *LBLProxy) round(ctx context.Context, single bool, keys []roundKey) (Acc
 			// counter and retry this access at the rebased value.
 			reconciled++
 			if p.reconcile(keys[0].key, keys[0].entry) == nil {
-				sw.Lap(nil)
 				continue
 			}
 		}
@@ -569,7 +530,6 @@ func (p *LBLProxy) round(ctx context.Context, single bool, keys []roundKey) (Acc
 
 	// Recover each value from its labels (2^y·ℓ/y PRF comparisons per
 	// key in the worst case), across keys and within each key's groups.
-	spRec := root.Child("label_recover")
 	workers := min(max(1, runtime.GOMAXPROCS(0)/len(keys)), tableWorkers(p.cfg.Groups()))
 	if len(keys) == 1 {
 		// The common one-key round: no fan-out closure to allocate.
@@ -577,8 +537,6 @@ func (p *LBLProxy) round(ctx context.Context, single bool, keys []roundKey) (Acc
 	} else {
 		forEachBatched(len(keys), func(i int) { p.recoverKey(&keys[i], workers) })
 	}
-	spRec.End()
-	dRecover := sw.Lap(st.recover)
 
 	var firstErr error
 	for i := range keys {
@@ -590,32 +548,16 @@ func (p *LBLProxy) round(ctx context.Context, single bool, keys []roundKey) (Acc
 		}
 		keys[i].entry.ct++ // commit the counter only after a successful round
 	}
-	if !single {
-		return stats, firstErr
+	// A batch round's per-key failures are answers, not a failed round.
+	var roundErr error
+	if single {
+		roundErr = firstErr
 	}
-	if firstErr != nil {
-		p.mx.errors.Inc()
-		return stats, firstErr
-	}
-	if p.mx.enabled {
-		total := dAcquire + dBuild + dRPC + dRecover
-		p.mx.e2e.ObserveExemplar(total, root.TraceID())
-		if p.mx.slow.Worthy(total) {
-			ek := p.prf.EncodeKey(keys[0].key)
-			p.mx.slow.Record(obs.Trace{
-				At:    time.Now(),
-				Label: traceLabel(ek[:]),
-				Total: total,
-				Stages: []obs.Stage{
-					{Name: "counter_acquire", D: dAcquire},
-					{Name: "table_build", D: dBuild},
-					{Name: "rpc", D: dRPC},
-					{Name: "label_recover", D: dRecover},
-				},
-			})
-		}
-	}
-	return stats, nil
+	rec.End(roundErr, func() string {
+		ek := p.prf.EncodeKey(keys[0].key)
+		return traceLabel(ek[:])
+	})
+	return stats, firstErr
 }
 
 // recoverKey recovers k's value from its response labels, unless the
@@ -671,36 +613,27 @@ func parkRound(id uint64, req *wire.Writer, keys []roundKey, i int) *pendingRoun
 }
 
 // sendRound builds keys' round at their counters and sends it as one
-// MsgLBLAccess call of k frames (see frames). A one-frame round is
-// built into a pooled writer, which sendRound returns for the caller to
-// release or to park for replay. A multi-frame round seals each frame
-// while the previous one is on the wire and returns no writer. build is
-// the time spent sealing; the rest of the call is wire and server time,
-// which a multi-frame round overlaps with sealing. A round that fails
-// before any frame is sent returns a *transport.NotSentError.
-func (p *LBLProxy) sendRound(ctx context.Context, root *trace.Span, id uint64, keys []roundKey) (resp []byte, req *wire.Writer, build time.Duration, err error) {
-	// The spans of a multi-frame round overlap: table_build ends when
-	// the last frame is sealed, rpc when the response lands — the gap
-	// between their ends is the pipeline's tail, visible per trace.
-	spBuild := root.Child("table_build")
-	defer spBuild.End()
+// MsgLBLAccess call of k frames (see frames), ending rec's table_build
+// stage and starting its rpc stage once the last frame is sealed. A
+// one-frame round is built into a pooled writer, which sendRound
+// returns for the caller to release or to park for replay. A
+// multi-frame round seals each frame while the previous one is on the
+// wire, so its transport_stream span parents on the root span, and
+// returns no writer. A round that fails before any frame is sent
+// returns a *transport.NotSentError.
+func (p *LBLProxy) sendRound(ctx context.Context, rec *obs.Recorder, id uint64, keys []roundKey) (resp []byte, req *wire.Writer, err error) {
 	k, per := p.cfg.frames(len(keys))
 	if k == 1 {
 		req = wire.GetWriter(p.cfg.RequestBytes(len(keys)))
-		build, err = p.buildFrames(req, keys, func([]byte) error { return nil })
-		spBuild.End()
-		if err != nil {
+		if err := p.buildFrames(req, keys, func([]byte) error { return nil }); err != nil {
 			wire.PutWriter(req)
-			return nil, nil, build, &transport.NotSentError{Err: err}
+			return nil, nil, &transport.NotSentError{Err: err}
 		}
-		spRPC := root.Child("rpc")
-		resp, err = p.client.CallContextID(trace.ContextWith(ctx, spRPC), id, MsgLBLAccess, req.Bytes())
-		spRPC.End()
-		return resp, req, build, err
+		rec.Mark(lblRPC)
+		resp, err = p.client.CallContextID(rec.Context(ctx), id, MsgLBLAccess, req.Bytes())
+		return resp, req, err
 	}
-	spRPC := root.Child("rpc")
-	defer spRPC.End()
-	resp, err = p.client.CallStreamContextID(trace.ContextWith(ctx, spRPC), id, MsgLBLAccess,
+	resp, err = p.client.CallStreamContextID(ctx, id, MsgLBLAccess,
 		func(send func([]byte) error) error {
 			// One pooled frame buffer, reused for every frame: the
 			// transport copies the payload before send returns, so the
@@ -708,28 +641,25 @@ func (p *LBLProxy) sendRound(ctx context.Context, root *trace.Span, id uint64, k
 			w := wire.GetWriter(16 + len(keys)*lblIDLen + per*p.cfg.groupLen())
 			defer wire.PutWriter(w)
 			sent := 0
-			var berr error
-			build, berr = p.buildFrames(w, keys, func(frame []byte) error {
+			return p.buildFrames(w, keys, func(frame []byte) error {
 				if sent++; sent == k {
-					spBuild.End()
+					rec.Mark(lblRPC)
 				}
 				p.mx.streamChunks.Inc()
 				return send(frame)
 			})
-			return berr
 		})
 	if err == nil {
 		p.mx.streamRounds.Inc()
 	}
-	return resp, nil, build, err
+	return resp, nil, err
 }
 
 // buildFrames seals keys' round into its k frames (steps 1.1–1.5 of
 // §5.2 for every key), handing each frame to emit as soon as it is
-// sealed. It returns the time spent sealing.
-func (p *LBLProxy) buildFrames(w *wire.Writer, keys []roundKey, emit func([]byte) error) (time.Duration, error) {
-	var build time.Duration
-	err := p.cfg.writeFrames(w, len(keys), func(w *wire.Writer) {
+// sealed.
+func (p *LBLProxy) buildFrames(w *wire.Writer, keys []roundKey, emit func([]byte) error) error {
+	return p.cfg.writeFrames(w, len(keys), func(w *wire.Writer) {
 		for i := range keys {
 			ek := p.prf.EncodeKey(keys[i].key)
 			w.Raw(ek[:])
@@ -737,12 +667,8 @@ func (p *LBLProxy) buildFrames(w *wire.Writer, keys []roundKey, emit func([]byte
 			putClaim(w.Extend(lblClaimLen), rid, p.rangeEpoch(rid))
 		}
 	}, func(dst []byte, g0, g1 int) error {
-		t0 := time.Now()
-		err := p.sealGroups(dst, keys, g0, g1)
-		build += time.Since(t0)
-		return err
+		return p.sealGroups(dst, keys, g0, g1)
 	}, emit)
-	return build, err
 }
 
 // minGroupsPerWorker bounds the table-build and recovery fan-out:

@@ -13,6 +13,7 @@ import (
 	"ortoa/internal/crypto/prf"
 	"ortoa/internal/crypto/secretbox"
 	"ortoa/internal/kvstore"
+	"ortoa/internal/obs"
 	"ortoa/internal/obs/trace"
 	"ortoa/internal/transport"
 	"ortoa/internal/wire"
@@ -25,8 +26,8 @@ import (
 // (steps 2.1–2.2 of §5.2). It learns nothing about the operation type:
 // reads and writes present identical work.
 type LBLServer struct {
-	store *kvstore.Store
-	mx    lblServerObs
+	store  *kvstore.Store
+	access *obs.Histogram // per-key store read + label swap (Instrument)
 
 	ops             atomic.Int64
 	decryptAttempts atomic.Int64
@@ -266,8 +267,8 @@ func decryptRange(geo tableGeometry, rec *lblRecord, table []byte, g0, g1 int, n
 // since the snapshot — table is trial-decrypted against the current
 // record here.
 func (s *LBLServer) accessOne(encKey string, geo tableGeometry, table, labelsOut []byte, span *spanKey) error {
-	if s.mx.enabled {
-		defer s.mx.access.Since(time.Now())
+	if s.access != nil {
+		defer s.access.Since(time.Now())
 	}
 	mode, groups := geo.mode, geo.groups
 	// Trial decryptions are counted locally and published once per

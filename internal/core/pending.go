@@ -187,7 +187,7 @@ func (p *LBLProxy) probePending(key string, entry *counterEntry) error {
 func (p *LBLProxy) probe(key string, ct uint64) (resp []byte, parked *pendingRound, err error) {
 	keys := []roundKey{{op: OpRead, key: key, ct: ct}}
 	id := p.client.NextID()
-	resp, req, _, err := p.sendRound(context.Background(), nil, id, keys)
+	resp, req, err := p.sendRound(context.Background(), nil, id, keys)
 	if transport.Ambiguous(err) {
 		return nil, parkRound(id, req, keys, 0), err
 	}

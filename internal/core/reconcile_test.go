@@ -155,7 +155,7 @@ func TestReconcileScanBudgetExceeded(t *testing.T) {
 func TestReconcileMetrics(t *testing.T) {
 	r, proxy := newLBLReconcile(t, LBLPointPermute, 8, prf.NewRandom())
 	reg := obs.NewRegistry()
-	proxy.Instrument(reg)
+	proxy.Instrument(reg, "proxy")
 	loadData(t, r, proxy, map[string][]byte{"k": {0, 0, 0, 0}})
 	mustWrite(t, proxy, "k", []byte{1, 1, 1, 1})
 	old := serverRecord(t, r, proxy, "k")

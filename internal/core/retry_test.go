@@ -35,7 +35,7 @@ func faultedLBLRig(t *testing.T, plan *netsim.FaultPlan, reg *obs.Registry) (*ri
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { client.Close() })
-	client.Instrument(reg)
+	client.Instrument(reg, "proxy")
 	r.client = client
 	proxy, err := NewLBLProxy(LBLConfig{ValueSize: 8, Mode: LBLPointPermute}, prf.NewRandom(), client)
 	if err != nil {

@@ -1,5 +1,11 @@
 package core
 
+import "ortoa/internal/transport"
+
+// ShapeClassify is the message set's classifier for every instrumented
+// transport end.
+func init() { transport.ClassifyShapes(ShapeClassify) }
+
 // ShapeClassify is the transport.ShapeClassifier for the ORTOA message
 // set: it maps each access frame to the public parameters its length
 // is allowed to depend on, so the ShapeAuditor can pin "all access

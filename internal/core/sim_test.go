@@ -202,7 +202,7 @@ func TestFHERealReadWriteSameShapeEndToEnd(t *testing.T) {
 // their counters, exactly as the proxy sends them.
 func requestFrames(p *LBLProxy, keys ...roundKey) ([][]byte, error) {
 	var frames [][]byte
-	_, err := p.buildFrames(wire.NewWriter(0), keys, func(f []byte) error {
+	err := p.buildFrames(wire.NewWriter(0), keys, func(f []byte) error {
 		frames = append(frames, append([]byte(nil), f...))
 		return nil
 	})

@@ -213,29 +213,31 @@ func TestObliviousnessLBLStream(t *testing.T) {
 // TestObliviousnessLBLStreamTraced re-runs the streamed comparison
 // with tracing armed on every hop and shape auditors shared across the
 // read and write runs: per-class frame lengths must be pinned across
-// both runs, traced or not, with zero violations.
+// both runs, traced or not, with zero violations. Both runs instrument
+// against one registry, whose processes trace only once a buffer is
+// set, so the untraced write run goes first.
 func TestObliviousnessLBLStreamTraced(t *testing.T) {
 	const valueSize = 8
 	const ops = 8
 	cfg := streamCfg(LBLPointPermute, valueSize, 4)
 	reg := obs.NewRegistry()
-	serverAud := obs.NewShapeAuditor(reg, "server")
-	proxyAud := obs.NewShapeAuditor(reg, "proxy")
+	serverAud := reg.ShapeAuditor("server")
+	proxyAud := reg.ShapeAuditor("proxy")
 	mkTraced := func(traced bool) func(t *testing.T) (*rig, Accessor) {
 		return func(t *testing.T) (*rig, Accessor) {
 			r, acc := lblStreamObsRig(cfg)(t)
-			r.server.AuditShape(serverAud, ShapeClassify)
-			r.client.AuditShape(proxyAud, ShapeClassify)
 			if traced {
-				r.server.SetTracer(reg.Tracer("server", 1<<10))
-				r.client.SetTracer(reg.Tracer("proxy", 1<<10))
-				acc.(*LBLProxy).TraceWith(reg.Tracer("proxy", 1<<10))
+				reg.Tracer("server", 1<<10)
+				reg.Tracer("proxy", 1<<10)
 			}
+			r.server.Instrument(reg, "server")
+			r.client.Instrument(reg, "proxy")
+			acc.(*LBLProxy).Instrument(reg, "proxy")
 			return r, acc
 		}
 	}
-	reads := observedRun(t, mkTraced(true), OpRead, valueSize, ops)
 	writes := observedRun(t, mkTraced(false), OpWrite, valueSize, ops)
+	reads := observedRun(t, mkTraced(true), OpRead, valueSize, ops)
 	assertIdenticalViews(t, reads, writes)
 	if vp, vs := proxyAud.Violations(), serverAud.Violations(); vp != 0 || vs != 0 {
 		t.Fatalf("shape auditor: proxy=%d server=%d violations across traced read + untraced write runs, want 0/0", vp, vs)
@@ -398,10 +400,9 @@ func TestLBLStreamResetStorm(t *testing.T) {
 	plan := &netsim.FaultPlan{Seed: 7, ResetProb: 0.04, MaxFaults: 12}
 	r, proxy := newFaultStreamRig(t, cfg, plan)
 	reg := obs.NewRegistry()
-	serverAud := obs.NewShapeAuditor(reg, "server")
-	proxyAud := obs.NewShapeAuditor(reg, "proxy")
-	r.server.AuditShape(serverAud, ShapeClassify)
-	r.client.AuditShape(proxyAud, ShapeClassify)
+	r.server.Instrument(reg, "server")
+	r.client.Instrument(reg, "proxy")
+	serverAud, proxyAud := reg.ShapeAuditor("server"), reg.ShapeAuditor("proxy")
 	initial := make([]byte, 8)
 	loadData(t, r, proxy, map[string][]byte{"k": initial})
 

@@ -11,7 +11,6 @@ import (
 	"ortoa/internal/crypto/secretbox"
 	"ortoa/internal/kvstore"
 	"ortoa/internal/obs"
-	"ortoa/internal/obs/trace"
 	"ortoa/internal/tee"
 	"ortoa/internal/transport"
 	"ortoa/internal/wire"
@@ -72,7 +71,7 @@ func teeSelector(key, payload []byte) ([]byte, error) {
 type TEEServer struct {
 	store   *kvstore.Store
 	enclave *tee.Enclave
-	mx      teeServerObs
+	mx      *obs.StageTimer // teeServerStages (Instrument)
 }
 
 // NewTEEServer creates the host and loads the selector enclave.
@@ -130,11 +129,8 @@ func (s *TEEServer) handleProvision(_ context.Context, payload []byte) ([]byte, 
 }
 
 func (s *TEEServer) handleAccess(ctx context.Context, payload []byte) ([]byte, error) {
-	sp := trace.StartChild(ctx, "server_ecall")
-	defer sp.End()
-	if s.mx.enabled {
-		defer s.mx.access.Since(time.Now())
-	}
+	rec, _ := s.mx.Start(ctx, obs.Idle)
+	defer rec.End(nil, nil)
 	r := wire.NewReader(payload)
 	encKey := r.Raw(prf.Size)
 	sealedCr := r.BytesPfx()
@@ -151,9 +147,9 @@ func (s *TEEServer) handleAccess(ctx context.Context, payload []byte) ([]byte, e
 		w.BytesPfx(sealedCr)
 		w.BytesPfx(old)
 		w.BytesPfx(sealedNew)
-		sw := obs.StartWatch(s.mx.enabled)
+		rec.Mark(0) // the ecall stage
 		out, err := s.enclave.ECall(w.Bytes())
-		sw.Lap(s.mx.ecall)
+		rec.Mark(obs.Idle)
 		if err != nil {
 			return nil, err
 		}
@@ -184,7 +180,7 @@ type TEEClient struct {
 	box    *secretbox.Box
 	key    []byte
 	client *transport.Client
-	mx     teeClientObs
+	mx     *obs.StageTimer // teeStages (Instrument)
 }
 
 // NewTEEClient returns a trusted client keyed with dataKey.
@@ -252,8 +248,7 @@ func (c *TEEClient) BuildRecord(key string, value []byte) (string, []byte, error
 
 // Access performs one oblivious access (§4.1). Reads send an
 // indistinguishable random dummy as v_new; the enclave discards it.
-func (c *TEEClient) Access(op Op, key string, newValue []byte) ([]byte, AccessStats, error) {
-	var stats AccessStats
+func (c *TEEClient) Access(op Op, key string, newValue []byte) (value []byte, stats AccessStats, err error) {
 	if op == OpWrite && len(newValue) != c.cfg.ValueSize {
 		return nil, stats, ErrValueSize
 	}
@@ -269,32 +264,27 @@ func (c *TEEClient) Access(op Op, key string, newValue []byte) ([]byte, AccessSt
 			return nil, stats, err
 		}
 	}
-	sw := obs.StartWatch(c.mx.enabled)
+	rec, ctx := c.mx.Start(context.Background(), clientPrepare)
+	defer func() { rec.End(err, nil) }()
 	ek := c.prf.EncodeKey(key)
 	w := wire.NewWriter(prf.Size + 2*c.cfg.ValueSize)
 	w.Raw(ek[:])
 	w.BytesPfx(c.box.Seal([]byte{cr}))
 	w.BytesPfx(c.box.Seal(vNew))
 	stats.PrepBytes = w.Len()
-	dSeal := sw.Lap(c.mx.seal)
+	rec.Mark(clientRPC)
 
-	resp, err := c.client.Call(MsgTEEAccess, w.Bytes())
+	resp, err := c.client.CallContext(rec.Context(ctx), MsgTEEAccess, w.Bytes())
 	if err != nil {
-		c.mx.errors.Inc()
 		return nil, stats, err
 	}
-	dRPC := sw.Lap(c.mx.rpc)
+	rec.Mark(clientFinish)
 	stats.RespBytes = len(resp)
-	value, err := c.box.Open(resp)
-	if err != nil {
-		c.mx.errors.Inc()
+	if value, err = c.box.Open(resp); err != nil {
 		return nil, stats, fmt.Errorf("%w: %v", ErrTampered, err)
 	}
 	if len(value) != c.cfg.ValueSize {
-		c.mx.errors.Inc()
 		return nil, stats, fmt.Errorf("%w: result has %d bytes", ErrTampered, len(value))
 	}
-	dOpen := sw.Lap(c.mx.open)
-	c.mx.e2e.Observe(dSeal + dRPC + dOpen)
 	return value, stats, nil
 }

@@ -18,15 +18,15 @@ func TestObliviousnessLBLTraced(t *testing.T) {
 	const valueSize = 8
 	const ops = 12
 	reg := obs.NewRegistry()
-	serverAud := obs.NewShapeAuditor(reg, "server")
-	proxyAud := obs.NewShapeAuditor(reg, "proxy")
+	reg.Tracer("server", 1<<12)
+	reg.Tracer("proxy", 1<<12)
+	serverAud := reg.ShapeAuditor("server")
+	proxyAud := reg.ShapeAuditor("proxy")
 	mkTraced := func(t *testing.T) (*rig, Accessor) {
 		r, acc := lblObsRig(LBLPointPermute, valueSize)(t)
-		r.server.SetTracer(reg.Tracer("server", 1<<12))
-		r.server.AuditShape(serverAud, ShapeClassify)
-		r.client.SetTracer(reg.Tracer("proxy", 1<<12))
-		r.client.AuditShape(proxyAud, ShapeClassify)
-		acc.(*LBLProxy).TraceWith(reg.Tracer("proxy", 1<<12))
+		r.server.Instrument(reg, "server")
+		r.client.Instrument(reg, "proxy")
+		acc.(*LBLProxy).Instrument(reg, "proxy")
 		return r, acc
 	}
 

@@ -77,7 +77,7 @@ func newAggRig(sessions, valueSize int, aggregated bool, reg *obs.Registry) (*ag
 	// simulation artifact.
 	store := kvstore.New()
 	r.serverTS = transport.NewServer()
-	r.serverTS.AuditShape(obs.NewShapeAuditor(reg, "server"), core.ShapeClassify)
+	r.serverTS.Instrument(reg, "server")
 	core.RegisterLoader(r.serverTS, store)
 	core.NewLBLServer(store).Register(r.serverTS)
 	serverLn := netsim.Listen(netsim.Link{RTT: netsim.London.RTT})
@@ -88,7 +88,7 @@ func newAggRig(sessions, valueSize int, aggregated bool, reg *obs.Registry) (*ag
 		return fail(err)
 	}
 	r.rpc = rpc
-	rpc.AuditShape(obs.NewShapeAuditor(reg, "proxy"), core.ShapeClassify)
+	rpc.Instrument(reg, "proxy")
 	proxy, err := core.NewLBLProxy(core.LBLConfig{ValueSize: valueSize, Mode: core.LBLPointPermute}, prf.NewRandom(), rpc)
 	if err != nil {
 		return fail(err)

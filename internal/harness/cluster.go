@@ -147,8 +147,6 @@ type shard struct {
 	// reads it, so reconnects find the reborn server.
 	listener atomic.Pointer[netsim.Listener]
 
-	auds clusterAuditors
-
 	mu       sync.Mutex // guards the restartable fields below
 	store    *kvstore.Store
 	lblSrv   *core.LBLServer
@@ -190,12 +188,12 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		}
 	}
 	c := &Cluster{cfg: cfg}
-	auds := clusterAuditors{
-		server: obs.NewShapeAuditor(cfg.Metrics, "server"),
-		proxy:  obs.NewShapeAuditor(cfg.Metrics, "proxy"),
+	if cfg.TraceBuffer > 0 {
+		cfg.Metrics.Tracer("server", cfg.TraceBuffer)
+		cfg.Metrics.Tracer("proxy", cfg.TraceBuffer)
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		sh, err := newShard(cfg, i, auds)
+		sh, err := newShard(cfg, i)
 		if err != nil {
 			c.Close()
 			return nil, err
@@ -215,16 +213,12 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// clusterAuditors is the per-process shape-auditor pair every shard's
-// transport endpoints share: one deployment, one violations counter
-// per side.
-type clusterAuditors struct {
-	server *obs.ShapeAuditor
-	proxy  *obs.ShapeAuditor
-}
-
-func newShard(cfg Config, idx int, auds clusterAuditors) (*shard, error) {
-	sh := &shard{link: cfg.Link, dur: cfg.Durability, auds: auds, admission: cfg.Admission}
+// newShard builds shard idx. Its transport ends, like every shard's
+// and proxy's, are instrumented as the "server" and "proxy" processes of
+// cfg.Metrics: one deployment, one shape auditor and one tracer per
+// side.
+func newShard(cfg Config, idx int) (*shard, error) {
+	sh := &shard{link: cfg.Link, dur: cfg.Durability, admission: cfg.Admission}
 	ok := false
 	defer func() {
 		if !ok {
@@ -261,11 +255,7 @@ func newShard(cfg Config, idx int, auds clusterAuditors) (*shard, error) {
 	}
 	sh.store = store
 	srv := transport.NewServer()
-	srv.Instrument(cfg.Metrics)
-	srv.AuditShape(auds.server, core.ShapeClassify)
-	if cfg.Metrics != nil && cfg.TraceBuffer > 0 {
-		srv.SetTracer(cfg.Metrics.Tracer("server", cfg.TraceBuffer))
-	}
+	srv.Instrument(cfg.Metrics, "server")
 	if cfg.Admission != nil {
 		srv.LimitAdmission(*cfg.Admission)
 	}
@@ -286,17 +276,13 @@ func newShard(cfg Config, idx int, auds clusterAuditors) (*shard, error) {
 	if err != nil {
 		return nil, err
 	}
-	client.Instrument(cfg.Metrics)
-	client.AuditShape(auds.proxy, core.ShapeClassify)
-	if cfg.Metrics != nil && cfg.TraceBuffer > 0 {
-		client.SetTracer(cfg.Metrics.Tracer("proxy", cfg.TraceBuffer))
-	}
+	client.Instrument(cfg.Metrics, "proxy")
 	sh.rpc = client
 
 	switch cfg.System {
 	case SystemLBL:
 		lblSrv := core.NewLBLServer(store)
-		lblSrv.Instrument(cfg.Metrics)
+		lblSrv.Instrument(cfg.Metrics, "server")
 		lblSrv.Register(srv)
 		lcfg := core.LBLConfig{ValueSize: cfg.ValueSize, Mode: cfg.LBLMode, StreamChunkBytes: cfg.StreamChunkBytes}
 		if cfg.Durability != nil {
@@ -306,10 +292,7 @@ func newShard(cfg Config, idx int, auds clusterAuditors) (*shard, error) {
 		if err != nil {
 			return nil, err
 		}
-		proxy.Instrument(cfg.Metrics)
-		if cfg.Metrics != nil && cfg.TraceBuffer > 0 {
-			proxy.TraceWith(cfg.Metrics.Tracer("proxy", cfg.TraceBuffer))
-		}
+		proxy.Instrument(cfg.Metrics, "proxy")
 		sh.accessor = proxy
 		sh.lblSrv = lblSrv
 	case SystemTEE:
@@ -317,7 +300,7 @@ func newShard(cfg Config, idx int, auds clusterAuditors) (*shard, error) {
 		if err != nil {
 			return nil, err
 		}
-		teeSrv.Instrument(cfg.Metrics)
+		teeSrv.Instrument(cfg.Metrics, "server")
 		teeSrv.Register(srv)
 		teeClient, err := core.NewTEEClient(core.TEEConfig{ValueSize: cfg.ValueSize}, prf.NewRandom(), secretbox.NewRandomKey(), client)
 		if err != nil {
@@ -326,7 +309,7 @@ func newShard(cfg Config, idx int, auds clusterAuditors) (*shard, error) {
 		if err := teeClient.AttestAndProvision(teeSrv.Enclave()); err != nil {
 			return nil, err
 		}
-		teeClient.Instrument(cfg.Metrics)
+		teeClient.Instrument(cfg.Metrics, "proxy")
 		sh.accessor = teeClient
 	case SystemBaseline:
 		core.NewBaselineServer(store).Register(srv)
@@ -374,7 +357,10 @@ func (c *Cluster) Restart(i int) error {
 	sh.replayed += sh.store.WALReplayed() // retire the dead store's count
 	lblSrv := core.NewLBLServer(store)
 	srv := transport.NewServer()
-	srv.AuditShape(sh.auds.server, core.ShapeClassify)
+	// The reborn server keeps feeding the deployment's shape audit and
+	// traces; its metrics stay out of the shared registry, where the
+	// dead server's callbacks are already registered.
+	srv.Instrument(c.cfg.Metrics.Shadow(), "server")
 	if sh.admission != nil {
 		srv.LimitAdmission(*sh.admission)
 	}

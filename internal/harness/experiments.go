@@ -303,44 +303,6 @@ func Fig3b(opt Options) (*Table, error) {
 	return t, nil
 }
 
-// Fig3c reproduces Figure 3c: the latency breakdown of LBL-ORTOA —
-// computation, the constant link RTT, and the large-message
-// communication overhead `o` — against the baseline's total latency.
-func Fig3c(opt Options) (*Table, error) {
-	t := &Table{
-		ID:      "fig3c",
-		Title:   "LBL-ORTOA latency breakdown vs value size (Oregon link)",
-		Columns: []string{"value(B)", "total(ms)", "rtt(ms)", "comm-ovhd(ms)", "compute(ms)", "2rtt-total(ms)", "LBL wins (c>p+o)"},
-	}
-	link := netsim.Oregon
-	for _, size := range fig3bSizes(opt) {
-		wl := workload.Config{NumKeys: opt.keys(), ValueSize: size, WriteFraction: 0.5, Seed: 7}
-		lbl, err := Measure(Config{System: SystemLBL, Link: link, ValueSize: size, LBLMode: core.LBLPointPermute}, wl, opt.conc(), opt.ops())
-		if err != nil {
-			return nil, fmt.Errorf("lbl @%dB: %w", size, err)
-		}
-		base, err := Measure(Config{System: SystemBaseline, Link: link, ValueSize: size}, wl, opt.conc(), opt.ops())
-		if err != nil {
-			return nil, fmt.Errorf("baseline @%dB: %w", size, err)
-		}
-		total := lbl.Latency.Mean
-		rtt := link.RTT
-		commOvhd := link.TransferTime(int(lbl.BytesSentOp)) + link.TransferTime(int(lbl.BytesRecvOp))
-		compute := total - rtt - commOvhd
-		if compute < 0 {
-			compute = 0
-		}
-		// §6.3.2's rule: one extra round (c) vs processing + overhead.
-		wins := float64(rtt) > float64(compute+commOvhd)
-		t.AddRow(fmt.Sprint(size), fmtMS(total), fmtMS(rtt), fmtMS(commOvhd), fmtMS(compute),
-			fmtMS(base.Latency.Mean), fmt.Sprint(wins))
-	}
-	t.Notes = append(t.Notes,
-		"paper: communication overhead (not compute) dominates LBL's growth with ℓ",
-		"decision rule (§6.3.2): choose LBL-ORTOA when c > p + o")
-	return t, nil
-}
-
 // Fig3d reproduces Figure 3d: a GDPR-style placement (server in
 // London, 300 B objects) where the long link makes the one-round
 // protocol win despite large messages.

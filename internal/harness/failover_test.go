@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -93,6 +94,38 @@ func TestRestartProxyStableIdentity(t *testing.T) {
 	}
 	if vp, vs := shapeViolations(reg); vp+vs != 0 {
 		t.Fatalf("shape violations across restarts: proxy=%d server=%d", vp, vs)
+	}
+}
+
+// TestRestartedProxyFeedsSharedAuditor: a proxy node rebuilt after a
+// crash instruments against a shadow of the cluster registry, so its
+// frames still reach the fleet's shape auditor while its per-instance
+// metric callbacks stay out of the shared registry.
+func TestRestartedProxyFeedsSharedAuditor(t *testing.T) {
+	reg := obs.NewRegistry()
+	cluster := newFailoverCluster(t, reg)
+	for i := 0; i < cluster.Proxies(); i++ {
+		if err := cluster.RestartProxy(i); err != nil {
+			t.Fatalf("restarting proxy %d: %v", i, err)
+		}
+	}
+	accessFrames := func() int64 {
+		return reg.Value(fmt.Sprintf(`ortoa_shape_frames_total{proc="proxy",type="0x%02x",dir="out"}`, core.MsgLBLAccess))
+	}
+	frames, calls := accessFrames(), reg.Value("ortoa_transport_client_calls_total")
+	for _, k := range []string{"fa", "fb", "fc"} {
+		if _, _, err := cluster.Access(core.OpRead, k, nil); err != nil {
+			t.Fatalf("read %q: %v", k, err)
+		}
+	}
+	if accessFrames() <= frames {
+		t.Fatal("the restarted proxies' access frames did not reach the shared shape auditor")
+	}
+	if got := reg.Value("ortoa_transport_client_calls_total"); got != calls {
+		t.Fatalf("client calls moved %d -> %d: a restarted proxy registered its callbacks into the shared registry", calls, got)
+	}
+	if vp, vs := shapeViolations(reg); vp+vs != 0 {
+		t.Fatalf("shape violations: proxy=%d server=%d", vp, vs)
 	}
 }
 

@@ -34,7 +34,6 @@ const defaultProxyReconcileScan = 4096
 // transport server clients reach through a stable listener pointer.
 type proxyNode struct {
 	name string
-	auds clusterAuditors
 
 	// listener is swapped on recovery; the router's dial closure reads
 	// it, so a reborn proxy is reachable at the same identity.
@@ -58,7 +57,7 @@ func (c *Cluster) buildProxies(cfg Config, sh *shard) error {
 	}
 	ring := core.NewRing(names)
 	for i := 0; i < cfg.Proxies; i++ {
-		pn := &proxyNode{name: names[i], auds: sh.auds}
+		pn := &proxyNode{name: names[i]}
 		if err := pn.start(cfg, sh, c.prf, true); err != nil {
 			return fmt.Errorf("harness: starting %s: %w", names[i], err)
 		}
@@ -102,9 +101,15 @@ func (c *Cluster) buildProxies(cfg Config, sh *shard) error {
 // front end. A rebuilt node starts with empty counters and no claimed
 // ranges: ownership is re-acquired on demand through the epoch fence
 // (AutoAdopt), exactly like a production proxy restarted from nothing.
-// instrument is false on recovery — handles with per-instance callbacks
-// would double-register (the restarted-store precedent in newShard).
+// instrument is false on recovery: the node then registers its metrics
+// in a shadow of cfg.Metrics — handles with per-instance callbacks would
+// double-register (the restarted-store precedent in newShard) — while
+// still feeding the fleet's shape audit and traces.
 func (pn *proxyNode) start(cfg Config, sh *shard, f *prf.PRF, instrument bool) error {
+	reg := cfg.Metrics
+	if !instrument {
+		reg = reg.Shadow()
+	}
 	topts := cfg.Transport
 	topts.PoolSize = cfg.ConnsPerShard
 	dial := func() (net.Conn, error) { return sh.listener.Load().Dial() }
@@ -112,10 +117,7 @@ func (pn *proxyNode) start(cfg Config, sh *shard, f *prf.PRF, instrument bool) e
 	if err != nil {
 		return err
 	}
-	if instrument {
-		client.Instrument(cfg.Metrics)
-	}
-	client.AuditShape(pn.auds.proxy, core.ShapeClassify)
+	client.Instrument(reg, "proxy")
 
 	scan := cfg.ProxyReconcileScan
 	if scan <= 0 {
@@ -132,15 +134,13 @@ func (pn *proxyNode) start(cfg Config, sh *shard, f *prf.PRF, instrument bool) e
 		client.Close()
 		return err
 	}
-	if instrument {
-		proxy.Instrument(cfg.Metrics)
-		if cfg.Metrics != nil && cfg.TraceBuffer > 0 {
-			proxy.TraceWith(cfg.Metrics.Tracer("proxy", cfg.TraceBuffer))
-		}
-	}
+	proxy.Instrument(reg, "proxy")
 
+	// The front end feeds the proxies' shape audit; its wire metrics stay
+	// out of the shared registry, whose ortoa_transport_server_* series
+	// are the shard server's.
 	front := transport.NewServer()
-	front.AuditShape(pn.auds.proxy, core.ShapeClassify)
+	front.Instrument(cfg.Metrics.Shadow(), "proxy")
 	if cfg.Admission != nil {
 		front.LimitAdmission(*cfg.Admission)
 	}

@@ -22,7 +22,7 @@ var Experiments = []Experiment{
 	{"fig2d", "varying database size (Fig 2d)", Fig2d},
 	{"fig3a", "scaling proxy/server pairs (Fig 3a)", Fig3a},
 	{"fig3b", "varying value size vs baseline (Fig 3b)", Fig3b},
-	{"fig3c", "LBL latency breakdown (Fig 3c)", Fig3c},
+	{"fig3c", "LBL latency breakdown, modeled and measured per stage from metrics and one cross-process trace (Fig 3c)", Fig3c},
 	{"fig3d", "EU server, 300B objects (Fig 3d)", Fig3d},
 	{"fig4", "real-world datasets (Fig 4)", Fig4},
 	{"fhe-noise", "FHE noise growth to failure (§3.3)", FHENoise},
@@ -40,8 +40,6 @@ var Experiments = []Experiment{
 	{"crash", "repeated kill/restart under durable-on-ack group commit (robustness extension)", Crash},
 	{"attack-snapshot", "multi-snapshot adversary vs plain store and ORTOA (§1)", SnapshotAttack},
 	{"oram-rounds", "one-round vs two-round tree ORAM (§8 sketch)", ORAMRounds},
-	{"stages", "measured LBL per-stage latency breakdown (Fig 3c companion)", Stages},
-	{"trace", "Fig 3c breakdown from one cross-process distributed trace (observability extension)", TraceBreakdown},
 	{"stream", "chunk-streamed table build pipelined against the wire vs monolithic (perf extension)", Stream},
 }
 

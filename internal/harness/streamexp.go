@@ -94,7 +94,7 @@ func runStreamPath(cfg core.LBLConfig, rounds int, link netsim.Link) (streamRun,
 	reg := obs.NewRegistry()
 	store := kvstore.New()
 	serverTS := transport.NewServer()
-	serverTS.AuditShape(obs.NewShapeAuditor(reg, "server"), core.ShapeClassify)
+	serverTS.Instrument(reg, "server")
 	core.RegisterLoader(serverTS, store)
 	core.NewLBLServer(store).Register(serverTS)
 	ln := netsim.Listen(link)
@@ -106,7 +106,7 @@ func runStreamPath(cfg core.LBLConfig, rounds int, link netsim.Link) (streamRun,
 		return run, err
 	}
 	defer rpc.Close()
-	rpc.AuditShape(obs.NewShapeAuditor(reg, "proxy"), core.ShapeClassify)
+	rpc.Instrument(reg, "proxy")
 	proxy, err := core.NewLBLProxy(cfg, prf.NewRandom(), rpc)
 	if err != nil {
 		return run, err
@@ -178,7 +178,7 @@ func streamFaultDrill(cfg core.LBLConfig, accesses int) (resets int64, failed in
 	reg := obs.NewRegistry()
 	store := kvstore.New()
 	serverTS := transport.NewServer()
-	serverTS.AuditShape(obs.NewShapeAuditor(reg, "server"), core.ShapeClassify)
+	serverTS.Instrument(reg, "server")
 	core.RegisterLoader(serverTS, store)
 	core.NewLBLServer(store).Register(serverTS)
 	ln := netsim.Listen(netsim.Link{Fault: plan})
@@ -190,7 +190,7 @@ func streamFaultDrill(cfg core.LBLConfig, accesses int) (resets int64, failed in
 		return 0, 0, err
 	}
 	defer rpc.Close()
-	rpc.AuditShape(obs.NewShapeAuditor(reg, "proxy"), core.ShapeClassify)
+	rpc.Instrument(reg, "proxy")
 	proxy, err := core.NewLBLProxy(cfg, prf.NewRandom(), rpc)
 	if err != nil {
 		return 0, 0, err

@@ -175,7 +175,7 @@ func hex16(id uint64) string {
 func TestAdminConcurrentScrape(t *testing.T) {
 	reg := NewRegistry()
 	tr := reg.Tracer("proxy", 128)
-	aud := NewShapeAuditor(reg, "proxy")
+	aud := reg.ShapeAuditor("proxy")
 	ops := reg.Counter("ops_total", "")
 	lat := reg.Histogram("e2e_seconds", "")
 	mux := AdminMux(reg)

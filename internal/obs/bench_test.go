@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -28,30 +29,36 @@ func BenchmarkHistogramObserveParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkDisabledStopwatch measures the uninstrumented path a
-// protocol pays when metrics are off: one branch, no clock read.
-func BenchmarkDisabledStopwatch(b *testing.B) {
-	var h *Histogram
+// BenchmarkDisabledRecorder measures the uninstrumented path a
+// protocol pays when metrics are off: one branch per boundary, no clock
+// read.
+func BenchmarkDisabledRecorder(b *testing.B) {
+	var timer *StageTimer
+	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sw := StartWatch(false)
-		sw.Lap(h)
-		sw.Lap(h)
-		sw.Lap(h)
-		sw.Lap(h)
+		rec, _ := timer.Start(ctx, 0)
+		rec.Mark(1)
+		rec.Mark(2)
+		rec.Mark(3)
+		rec.End(nil, nil)
 	}
 }
 
-// BenchmarkEnabledStopwatch measures the instrumented stage-timing
-// path: one clock read plus one Observe per lap.
-func BenchmarkEnabledStopwatch(b *testing.B) {
-	var h Histogram
+// BenchmarkEnabledRecorder measures the instrumented stage-timing path
+// without a tracer: one clock read plus one Observe per boundary.
+func BenchmarkEnabledRecorder(b *testing.B) {
+	reg := NewRegistry()
+	set := StageSet{Root: "access", Stages: []string{"a", "b", "c", "d"}}
+	timer := set.Timer(reg, "proxy", "stage_seconds", "")
+	timer.Total = reg.Histogram("access_seconds", "")
+	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sw := StartWatch(true)
-		sw.Lap(&h)
-		sw.Lap(&h)
-		sw.Lap(&h)
-		sw.Lap(&h)
+		rec, _ := timer.Start(ctx, 0)
+		rec.Mark(1)
+		rec.Mark(2)
+		rec.Mark(3)
+		rec.End(nil, nil)
 	}
 }

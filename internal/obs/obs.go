@@ -6,8 +6,10 @@
 //
 // The paper's evaluation (§6, Figs 2–5) is entirely about where access
 // latency goes — proxy compute vs. network round trip vs. server work —
-// so the protocol hot paths record one histogram sample per stage (see
-// DESIGN.md §8 for the metric ↔ paper-stage map). Metrics are opt-in:
+// so the protocol hot paths time every access stage once, with a stage
+// recorder (stages.go) that feeds the stage histograms, the trace spans
+// and the slow log from the same clock readings (see DESIGN.md §8 for
+// the metric ↔ paper-stage map). Metrics are opt-in:
 // every instrumented component accepts a nil *Registry, and all metric
 // methods are nil-receiver no-ops, so the disabled path costs one
 // branch and allocates nothing.
@@ -241,40 +243,6 @@ func (h *Histogram) Quantile(p float64) time.Duration {
 	return time.Duration(bucketUpper(histBuckets - 1))
 }
 
-// A Stopwatch times the consecutive stages of one request. Created
-// disabled it costs one branch per Lap and never reads the clock, so
-// uninstrumented hot paths stay free of timing overhead.
-type Stopwatch struct {
-	t  time.Time
-	on bool
-}
-
-// StartWatch starts a stopwatch; pass enabled=false to get an inert
-// one.
-func StartWatch(enabled bool) Stopwatch {
-	if !enabled {
-		return Stopwatch{}
-	}
-	return Stopwatch{t: time.Now(), on: true}
-}
-
-// Lap records the time since the previous lap (or start) into h and
-// restarts the lap clock, returning the lap duration. Disabled
-// stopwatches return 0 without touching the clock or h.
-func (s *Stopwatch) Lap(h *Histogram) time.Duration {
-	if !s.on {
-		return 0
-	}
-	now := time.Now()
-	d := now.Sub(s.t)
-	s.t = now
-	h.Observe(d)
-	return d
-}
-
-// Enabled reports whether the stopwatch is live.
-func (s *Stopwatch) Enabled() bool { return s.on }
-
 // metricKind drives Prometheus TYPE lines.
 type metricKind uint8
 
@@ -315,8 +283,12 @@ type Registry struct {
 	hookMu sync.Mutex
 	hooks  []func()
 
-	tracerMu sync.Mutex
-	tracers  map[string]*trace.Tracer
+	// procMu guards the per-process tracers and shape auditors. A
+	// shadow registry (Shadow) resolves both in shared instead.
+	procMu  sync.Mutex
+	tracers map[string]*trace.Tracer
+	shapes  map[string]*ShapeAuditor
+	shared  *Registry
 
 	runtimeOnce sync.Once // RegisterRuntimeMetrics idempotence
 }
@@ -503,25 +475,69 @@ func (r *Registry) runScrapeHooks() {
 }
 
 // Tracer returns the span tracer registered under the given process
-// name, creating it with the given ring capacity if needed. Components
-// instrumented against the same registry share the tracer, so every
-// shard's proxy feeds one /trace buffer. Returns nil on a nil
+// name. A positive capacity turns tracing on for the process, creating
+// its tracer with that ring capacity if needed; a non-positive one only
+// looks the tracer up, returning nil while tracing is off. Components
+// instrumented against the same registry and process share the tracer,
+// so every shard's proxy feeds one /trace buffer. Returns nil on a nil
 // registry; a nil tracer starts nil (no-op) spans.
 func (r *Registry) Tracer(process string, capacity int) *trace.Tracer {
 	if r == nil {
 		return nil
 	}
-	r.tracerMu.Lock()
-	defer r.tracerMu.Unlock()
+	if r.shared != nil {
+		return r.shared.Tracer(process, capacity)
+	}
+	r.procMu.Lock()
+	defer r.procMu.Unlock()
+	if t, ok := r.tracers[process]; ok || capacity <= 0 {
+		return t
+	}
 	if r.tracers == nil {
 		r.tracers = make(map[string]*trace.Tracer)
-	}
-	if t, ok := r.tracers[process]; ok {
-		return t
 	}
 	t := trace.NewTracer(process, capacity)
 	r.tracers[process] = t
 	return t
+}
+
+// ShapeAuditor returns the process's obliviousness shape auditor
+// (shape.go), creating it on first use: every transport end instrumented
+// against the same registry and process feeds one violations counter
+// and one health check. Returns nil on a nil registry.
+func (r *Registry) ShapeAuditor(process string) *ShapeAuditor {
+	if r == nil {
+		return nil
+	}
+	if r.shared != nil {
+		return r.shared.ShapeAuditor(process)
+	}
+	r.procMu.Lock()
+	defer r.procMu.Unlock()
+	if a, ok := r.shapes[process]; ok {
+		return a
+	}
+	if r.shapes == nil {
+		r.shapes = make(map[string]*ShapeAuditor)
+	}
+	a := newShapeAuditor(r, process)
+	r.shapes[process] = a
+	return a
+}
+
+// Shadow returns a registry for a component restarted in place: it
+// shares r's tracers and shape auditors, so the restarted component
+// still joins r's traces and obliviousness audit, but its metrics,
+// health checks and slow logs go to a registry of their own that
+// nothing exports, so callbacks bound to the dead instance's state are
+// never registered into r twice. Returns nil on a nil registry.
+func (r *Registry) Shadow() *Registry {
+	if r == nil {
+		return nil
+	}
+	s := NewRegistry()
+	s.shared = r
+	return s
 }
 
 // TraceRecords returns every retained span across all of the
@@ -531,12 +547,12 @@ func (r *Registry) TraceRecords() []trace.SpanRecord {
 	if r == nil {
 		return nil
 	}
-	r.tracerMu.Lock()
+	r.procMu.Lock()
 	tracers := make([]*trace.Tracer, 0, len(r.tracers))
 	for _, t := range r.tracers {
 		tracers = append(tracers, t)
 	}
-	r.tracerMu.Unlock()
+	r.procMu.Unlock()
 	var out []trace.SpanRecord
 	for _, t := range tracers {
 		out = append(out, t.Snapshot()...)

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -107,18 +108,20 @@ func TestNilMetricsAreNoOps(t *testing.T) {
 
 // TestDisabledPathAllocationFree locks down the acceptance criterion
 // that uninstrumented hot paths allocate nothing: nil metric updates
-// and disabled stopwatch laps must be alloc-free (and, for the
-// stopwatch, clock-read-free — not measurable here, but the branch
-// structure is).
+// and the stage recorder of an uninstrumented component must be
+// alloc-free (and, for the recorder, clock-read-free — not measurable
+// here, but the branch structure is).
 func TestDisabledPathAllocationFree(t *testing.T) {
 	var c *Counter
 	var h *Histogram
 	var l *SlowLog
+	var timer *StageTimer
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Add(1)
 		h.Observe(time.Millisecond)
-		sw := StartWatch(false)
-		sw.Lap(h)
+		rec, _ := timer.Start(context.Background(), 0)
+		rec.Mark(1)
+		rec.End(nil, nil)
 		l.Worthy(time.Second)
 	})
 	if allocs != 0 {
@@ -139,27 +142,6 @@ func TestEnabledHotPathAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("hot path allocates %.1f per op, want 0", allocs)
-	}
-}
-
-func TestStopwatchLaps(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("stage_seconds", "")
-	sw := StartWatch(true)
-	time.Sleep(2 * time.Millisecond)
-	d := sw.Lap(h)
-	if d < time.Millisecond {
-		t.Fatalf("lap = %v, want >= 1ms", d)
-	}
-	if h.Count() != 1 {
-		t.Fatalf("histogram count = %d, want 1", h.Count())
-	}
-	off := StartWatch(false)
-	if got := off.Lap(h); got != 0 {
-		t.Fatalf("disabled lap = %v, want 0", got)
-	}
-	if h.Count() != 1 {
-		t.Fatal("disabled lap recorded a sample")
 	}
 }
 

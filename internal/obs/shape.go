@@ -45,14 +45,12 @@ type shapeSeries struct {
 	msgType byte
 }
 
-// NewShapeAuditor returns an auditor exporting its counters under the
+// newShapeAuditor returns an auditor exporting its counters under the
 // given process label ("proxy" or "server") and registering a
 // shape_<proc> health check that fails once any violation is seen.
-// Returns nil on a nil registry; a nil auditor ignores all frames.
-func NewShapeAuditor(reg *Registry, proc string) *ShapeAuditor {
-	if reg == nil {
-		return nil
-	}
+// Registry.ShapeAuditor keeps one per process; a nil auditor ignores
+// all frames.
+func newShapeAuditor(reg *Registry, proc string) *ShapeAuditor {
 	a := &ShapeAuditor{
 		violations: reg.Counter(
 			fmt.Sprintf(`ortoa_obliviousness_shape_violations_total{proc=%q}`, proc),

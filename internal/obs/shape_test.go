@@ -8,7 +8,7 @@ import (
 )
 
 func TestShapeAuditorNilRegistry(t *testing.T) {
-	if aud := NewShapeAuditor(nil, "proxy"); aud != nil {
+	if aud := (*Registry)(nil).ShapeAuditor("proxy"); aud != nil {
 		t.Fatal("nil registry must yield a nil (no-op) auditor")
 	}
 	var aud *ShapeAuditor
@@ -20,7 +20,7 @@ func TestShapeAuditorNilRegistry(t *testing.T) {
 
 func TestShapeAuditorPinsPerClass(t *testing.T) {
 	reg := NewRegistry()
-	aud := NewShapeAuditor(reg, "server")
+	aud := reg.ShapeAuditor("server")
 
 	// Same class, same length: no violation however many frames.
 	for i := 0; i < 10; i++ {
@@ -50,7 +50,7 @@ func TestShapeAuditorPinsPerClass(t *testing.T) {
 
 func TestShapeAuditorFailsHealthz(t *testing.T) {
 	reg := NewRegistry()
-	aud := NewShapeAuditor(reg, "server")
+	aud := reg.ShapeAuditor("server")
 	mux := AdminMux(reg)
 
 	get := func() (int, string) {
@@ -87,7 +87,7 @@ func TestShapeAuditorFailsHealthz(t *testing.T) {
 
 func TestShapeAuditorConcurrent(t *testing.T) {
 	reg := NewRegistry()
-	aud := NewShapeAuditor(reg, "proxy")
+	aud := reg.ShapeAuditor("proxy")
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

@@ -1,6 +1,9 @@
 package trace
 
-import "context"
+import (
+	"context"
+	"time"
+)
 
 // ctxKey keys the active span in a context.Context.
 type ctxKey struct{}
@@ -40,7 +43,7 @@ func (t *Tracer) Start(ctx context.Context, name string) (*Span, context.Context
 	}
 	var s *Span
 	if p := FromContext(ctx); p != nil {
-		s = t.start(SpanContext{TraceID: p.sc.TraceID, SpanID: newID()}, p.sc.SpanID, name)
+		s = t.start(SpanContext{TraceID: p.sc.TraceID, SpanID: newID()}, p.sc.SpanID, name, time.Now())
 	} else {
 		s = t.StartRoot(name)
 	}

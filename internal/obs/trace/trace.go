@@ -98,16 +98,20 @@ type Span struct {
 	endOnce atomic.Bool
 }
 
-func (t *Tracer) start(sc SpanContext, parent uint64, name string) *Span {
-	return &Span{tracer: t, sc: sc, parent: parent, name: name, start: time.Now()}
+func (t *Tracer) start(sc SpanContext, parent uint64, name string, at time.Time) *Span {
+	return &Span{tracer: t, sc: sc, parent: parent, name: name, start: at}
 }
 
 // StartRoot begins a new trace with a fresh trace id.
-func (t *Tracer) StartRoot(name string) *Span {
+func (t *Tracer) StartRoot(name string) *Span { return t.RootAt(name, time.Now()) }
+
+// RootAt is StartRoot with the start time read by the caller, so one
+// clock reading can both start the span and end whatever came before.
+func (t *Tracer) RootAt(name string, at time.Time) *Span {
 	if t == nil {
 		return nil
 	}
-	return t.start(SpanContext{TraceID: newID(), SpanID: newID()}, 0, name)
+	return t.start(SpanContext{TraceID: newID(), SpanID: newID()}, 0, name, at)
 }
 
 // StartRemote begins a span continuing a trace whose context arrived
@@ -118,17 +122,33 @@ func (t *Tracer) StartRemote(sc SpanContext, name string) *Span {
 	if t == nil || !sc.Valid() {
 		return nil
 	}
-	return t.start(SpanContext{TraceID: sc.TraceID, SpanID: newID()}, sc.SpanID, name)
+	return t.start(SpanContext{TraceID: sc.TraceID, SpanID: newID()}, sc.SpanID, name, time.Now())
+}
+
+// Remote returns a placeholder for the caller's span whose context
+// arrived over the wire: its children join the caller's trace and are
+// recorded by t, while the placeholder itself is never recorded. It
+// returns nil for an invalid (untraced) context or a nil tracer.
+func (t *Tracer) Remote(sc SpanContext) *Span {
+	if t == nil || !sc.Valid() {
+		return nil
+	}
+	s := &Span{tracer: t, sc: sc}
+	s.endOnce.Store(true)
+	return s
 }
 
 // Child begins a span within the same trace, parented on s, recorded
 // by s's tracer. Returns nil on a nil receiver, so whole call chains
 // degrade to no-ops when the root was never started.
-func (s *Span) Child(name string) *Span {
+func (s *Span) Child(name string) *Span { return s.ChildAt(name, time.Now()) }
+
+// ChildAt is Child with the start time read by the caller.
+func (s *Span) ChildAt(name string, at time.Time) *Span {
 	if s == nil {
 		return nil
 	}
-	return s.tracer.start(SpanContext{TraceID: s.sc.TraceID, SpanID: newID()}, s.sc.SpanID, name)
+	return s.tracer.start(SpanContext{TraceID: s.sc.TraceID, SpanID: newID()}, s.sc.SpanID, name, at)
 }
 
 // Context returns the span's wire context (zero for nil).
@@ -150,7 +170,11 @@ func (s *Span) TraceID() uint64 {
 
 // End finishes the span and publishes its record. End is idempotent;
 // only the first call records.
-func (s *Span) End() {
+func (s *Span) End() { s.EndAt(time.Now()) }
+
+// EndAt is End with the end time read by the caller: the span's
+// duration is exactly at minus its start.
+func (s *Span) EndAt(at time.Time) {
 	if s == nil || s.endOnce.Swap(true) {
 		return
 	}
@@ -162,7 +186,7 @@ func (s *Span) End() {
 		Name:     s.name,
 		Process:  t.process,
 		Start:    s.start,
-		Duration: time.Since(s.start),
+		Duration: at.Sub(s.start),
 	}
 	t.slots[(t.pos.Add(1)-1)&t.mask].Store(r)
 }

@@ -299,11 +299,11 @@ func TestBusyFrameShapePinned(t *testing.T) {
 		// busy responses still must be identical within each class.
 		return uint64(len(payload)), true, true
 	}
+	defer ClassifyShapes(ClassifyShapes(classify))
 	reg := obs.NewRegistry()
-	sAud := obs.NewShapeAuditor(reg, "server")
-	cAud := obs.NewShapeAuditor(reg, "client")
-	s.AuditShape(sAud, classify)
-	c.AuditShape(cAud, classify)
+	s.Instrument(reg, "server")
+	c.Instrument(reg, "client")
+	sAud, cAud := reg.ShapeAuditor("server"), reg.ShapeAuditor("client")
 
 	done := make(chan error, 1)
 	go func() {

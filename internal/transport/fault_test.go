@@ -116,7 +116,7 @@ func TestRetryReplaysWithoutReexecuting(t *testing.T) {
 		return append([]byte("ok:"), p...), nil
 	})
 	reg := obs.NewRegistry()
-	s.Instrument(reg)
+	s.Instrument(reg, "server")
 	l := netsim.Listen(netsim.Link{Fault: plan})
 	go s.Serve(l)
 	defer s.Close()
@@ -129,7 +129,7 @@ func TestRetryReplaysWithoutReexecuting(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.Instrument(reg)
+	c.Instrument(reg, "proxy")
 
 	resp, err := c.Call(msgCount, []byte("x"))
 	if err != nil {
@@ -173,7 +173,7 @@ func TestReconnectAfterReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.Instrument(reg)
+	c.Instrument(reg, "proxy")
 
 	resp, err := c.Call(msgEcho, []byte("hi"))
 	if err != nil {

@@ -61,7 +61,7 @@ func TestTracePropagatesToServer(t *testing.T) {
 	clientTr := reg.Tracer("proxy", 64)
 
 	s := NewServer()
-	s.SetTracer(serverTr)
+	s.Instrument(reg, "server")
 	s.Handle(msgEcho, func(ctx context.Context, p []byte) ([]byte, error) {
 		sp := trace.StartChild(ctx, "server_decrypt")
 		sp.End()
@@ -71,7 +71,7 @@ func TestTracePropagatesToServer(t *testing.T) {
 	go s.Serve(l)
 	defer s.Close()
 	c := dialTest(t, l, 1)
-	c.SetTracer(clientTr)
+	c.Instrument(reg, "proxy")
 
 	root, ctx := clientTr.Start(context.Background(), "lbl_access")
 	if _, err := c.CallContext(ctx, msgEcho, []byte("traced")); err != nil {
@@ -120,7 +120,7 @@ func TestUntracedClientSendsZeroRef(t *testing.T) {
 	reg := obs.NewRegistry()
 	serverTr := reg.Tracer("server", 64)
 	s := NewServer()
-	s.SetTracer(serverTr)
+	s.Instrument(reg, "server")
 	s.Handle(msgEcho, func(_ context.Context, p []byte) ([]byte, error) { return p, nil })
 	l := netsim.Listen(netsim.Loopback)
 	go s.Serve(l)
@@ -144,7 +144,7 @@ func TestReplayedResponseJoinsOriginalTrace(t *testing.T) {
 	serverTr := reg.Tracer("server", 64)
 	clientTr := reg.Tracer("proxy", 64)
 	s := NewServer()
-	s.SetTracer(serverTr)
+	s.Instrument(reg, "server")
 	var execs atomic.Int64
 	s.Handle(msgCount, func(_ context.Context, p []byte) ([]byte, error) {
 		execs.Add(1)
@@ -162,7 +162,7 @@ func TestReplayedResponseJoinsOriginalTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.SetTracer(clientTr)
+	c.Instrument(reg, "proxy")
 
 	root, ctx := clientTr.Start(context.Background(), "lbl_access")
 	if _, err := c.CallContext(ctx, msgCount, []byte("x")); err != nil {
@@ -211,16 +211,17 @@ func TestShapeAuditorSeesTransportFrames(t *testing.T) {
 		}
 		return 0, false, false
 	}
+	defer ClassifyShapes(ClassifyShapes(classify))
 	reg := obs.NewRegistry()
 	s := NewServer()
-	s.AuditShape(obs.NewShapeAuditor(reg, "server"), classify)
+	s.Instrument(reg, "server")
 	s.Handle(msgEcho, func(_ context.Context, p []byte) ([]byte, error) { return p, nil })
 	l := netsim.Listen(netsim.Loopback)
 	go s.Serve(l)
 	defer s.Close()
 	c := dialTest(t, l, 1)
-	proxyAud := obs.NewShapeAuditor(reg, "proxy")
-	c.AuditShape(proxyAud, classify)
+	c.Instrument(reg, "proxy")
+	proxyAud := reg.ShapeAuditor("proxy")
 
 	for i := 0; i < 2; i++ {
 		if _, err := c.Call(msgEcho, []byte("same-length-A")); err != nil {

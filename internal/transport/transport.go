@@ -293,6 +293,30 @@ type HandlerFunc func(ctx context.Context, payload []byte) ([]byte, error)
 // (0, false, false) and feed only the length distributions.
 type ShapeClassifier func(msgType byte, payload []byte) (class uint64, strictReq, strictResp bool)
 
+// shapeClassifier is the message set's classifier (ClassifyShapes).
+var shapeClassifier atomic.Pointer[ShapeClassifier]
+
+// ClassifyShapes installs the message set's ShapeClassifier and returns
+// the previous one. Every instrumented Server and Client classifies the
+// frames it feeds to its process's shape auditor with it. The protocol
+// package installs its classifier (core.ShapeClassify) when it is
+// initialized; without one, every frame is unclassified.
+func ClassifyShapes(c ShapeClassifier) ShapeClassifier {
+	if prev := shapeClassifier.Swap(&c); prev != nil {
+		return *prev
+	}
+	return nil
+}
+
+// classify classifies one request payload with the installed
+// classifier.
+func classify(msgType byte, payload []byte) (class uint64, strictReq, strictResp bool) {
+	if c := shapeClassifier.Load(); c != nil && *c != nil {
+		return (*c)(msgType, payload)
+	}
+	return 0, false, false
+}
+
 // An Observer sees exactly what a network adversary at the server
 // sees: the message type and the request/response payload sizes of
 // every exchange — including dedup replays, which the adversary
@@ -300,18 +324,26 @@ type ShapeClassifier func(msgType byte, payload []byte) (class uint64, strictReq
 // that reads and writes are indistinguishable at this boundary.
 type Observer func(msgType byte, requestLen, responseLen int)
 
-// serverMetrics is the server's wire-level instrumentation: what an
-// operator needs to see load and saturation on a storage server or
-// proxy front end.
+// serverMetrics is the server's instrumentation (Instrument): the
+// wire-level metrics an operator needs to see load and saturation on a
+// storage server or proxy front end, the handler timer, the tracer that
+// continues traced requests, and the process's shape auditor.
 type serverMetrics struct {
 	framesIn, framesOut *obs.Counter
 	bytesIn, bytesOut   *obs.Counter
 	inflight            *obs.Gauge
-	handlerLatency      *obs.Histogram
 	handlerErrors       *obs.Counter
 	connsOpen           *obs.Gauge
 	dedupHits           *obs.Counter
+	handle              *obs.StageTimer // server_handle spans and handler latency
+	tracer              *trace.Tracer
+	shape               *obs.ShapeAuditor
 }
+
+// serverHandle times one request's execution on a server: the
+// server_handle span, a child of the caller's transport attempt when the
+// frame is traced.
+var serverHandle = obs.StageSet{Root: "server_handle", Continues: true}
 
 // A Server dispatches inbound frames to handlers registered by message
 // type. Handlers run concurrently, one goroutine per request — bounded,
@@ -324,13 +356,8 @@ type Server struct {
 	conns     sync.WaitGroup
 	lns       []net.Listener
 	metrics   atomic.Pointer[serverMetrics]
-	tracer    atomic.Pointer[trace.Tracer]
 	dedup     *dedupCache
 	admission atomic.Pointer[admission]
-
-	shapeMu       sync.RWMutex
-	shapeAud      *obs.ShapeAuditor
-	shapeClassify ShapeClassifier
 
 	connMu sync.Mutex
 	open   map[net.Conn]struct{}
@@ -359,25 +386,32 @@ func (s *Server) handler(msgType byte) (HandlerFunc, bool) {
 	return h, ok
 }
 
-// Instrument registers the server's wire metrics
-// (ortoa_transport_server_*) with reg: frames and bytes in each
-// direction, open connections, in-flight handlers, handler latency,
-// and dedup-cache replays. Call before Serve; a nil registry leaves
-// the server uninstrumented at zero cost.
-func (s *Server) Instrument(reg *obs.Registry) {
+// Instrument instruments the server as part of process proc: it
+// registers the wire metrics (ortoa_transport_server_*) with reg —
+// frames and bytes in each direction, open connections, in-flight
+// handlers, handler latency, and dedup-cache replays — continues every
+// traced request frame in proc's tracer (a server_handle span joined to
+// the caller's trace, passed to the handler via ctx), and feeds every
+// exchanged frame to proc's shape auditor (shape.go). Call before
+// Serve; a nil registry leaves the server uninstrumented at zero cost.
+func (s *Server) Instrument(reg *obs.Registry, proc string) {
 	if reg == nil {
 		return
 	}
+	handle := serverHandle.Timer(reg, proc, "", "")
+	handle.Total = reg.Histogram("ortoa_transport_server_handler_seconds", "request handler latency")
 	s.metrics.Store(&serverMetrics{
-		framesIn:       reg.Counter(`ortoa_transport_server_frames_total{dir="in"}`, "frames by direction"),
-		framesOut:      reg.Counter(`ortoa_transport_server_frames_total{dir="out"}`, "frames by direction"),
-		bytesIn:        reg.Counter(`ortoa_transport_server_bytes_total{dir="in"}`, "wire bytes (incl. headers) by direction"),
-		bytesOut:       reg.Counter(`ortoa_transport_server_bytes_total{dir="out"}`, "wire bytes (incl. headers) by direction"),
-		inflight:       reg.Gauge("ortoa_transport_server_inflight_requests", "requests currently being handled"),
-		handlerLatency: reg.Histogram("ortoa_transport_server_handler_seconds", "request handler latency"),
-		handlerErrors:  reg.Counter("ortoa_transport_server_handler_errors_total", "handler invocations that returned an error"),
-		connsOpen:      reg.Gauge("ortoa_transport_server_open_connections", "currently open client connections"),
-		dedupHits:      reg.Counter("ortoa_transport_server_dedup_hits_total", "retried requests answered from the at-most-once cache without re-execution"),
+		framesIn:      reg.Counter(`ortoa_transport_server_frames_total{dir="in"}`, "frames by direction"),
+		framesOut:     reg.Counter(`ortoa_transport_server_frames_total{dir="out"}`, "frames by direction"),
+		bytesIn:       reg.Counter(`ortoa_transport_server_bytes_total{dir="in"}`, "wire bytes (incl. headers) by direction"),
+		bytesOut:      reg.Counter(`ortoa_transport_server_bytes_total{dir="out"}`, "wire bytes (incl. headers) by direction"),
+		inflight:      reg.Gauge("ortoa_transport_server_inflight_requests", "requests currently being handled"),
+		handlerErrors: reg.Counter("ortoa_transport_server_handler_errors_total", "handler invocations that returned an error"),
+		connsOpen:     reg.Gauge("ortoa_transport_server_open_connections", "currently open client connections"),
+		dedupHits:     reg.Counter("ortoa_transport_server_dedup_hits_total", "retried requests answered from the at-most-once cache without re-execution"),
+		handle:        handle,
+		tracer:        reg.Tracer(proc, 0),
+		shape:         reg.ShapeAuditor(proc),
 	})
 	// Admission metrics read through the atomic pointer at scrape time,
 	// so Instrument and LimitAdmission may be called in either order.
@@ -401,41 +435,6 @@ func (s *Server) Instrument(reg *obs.Registry) {
 	})
 }
 
-// SetTracer installs a span tracer: every traced request frame starts
-// a server-side span joined to the caller's trace, passed to the
-// handler via ctx. A nil tracer (the default) disables server spans.
-func (s *Server) SetTracer(t *trace.Tracer) {
-	s.tracer.Store(t)
-}
-
-// AuditShape installs a continuous obliviousness shape auditor on the
-// server: every exchanged frame is classified by classify and its
-// payload length checked against the class's pinned length (shape.go).
-// Error responses are observed but never length-checked — their
-// payload is an error string, not protocol output.
-func (s *Server) AuditShape(a *obs.ShapeAuditor, classify ShapeClassifier) {
-	if a == nil || classify == nil {
-		return
-	}
-	s.shapeMu.Lock()
-	s.shapeAud, s.shapeClassify = a, classify
-	s.shapeMu.Unlock()
-}
-
-// auditExchange records one request/response pair with the shape
-// auditor, if installed.
-func (s *Server) auditExchange(msgType byte, payload, resp []byte, flags byte) {
-	s.shapeMu.RLock()
-	a, classify := s.shapeAud, s.shapeClassify
-	s.shapeMu.RUnlock()
-	if a == nil {
-		return
-	}
-	class, strictReq, strictResp := classify(msgType, payload)
-	a.Observe("in", msgType, class, strictReq, len(payload))
-	a.Observe("out", msgType, class, strictResp && flags&flagError == 0, len(resp))
-}
-
 // SetObserver installs an adversary's-eye traffic observer, invoked
 // once per served request with the exchanged payload sizes.
 func (s *Server) SetObserver(obs Observer) {
@@ -444,12 +443,33 @@ func (s *Server) SetObserver(obs Observer) {
 	s.observer = obs
 }
 
-func (s *Server) observe(msgType byte, reqLen, respLen int) {
+// account records one request frame as the adversary at this end sees
+// it, with the observer, the shape auditor and the frame metrics: a
+// continuation frame alone, an answered request (answered) together
+// with its response of type respType. A request is audited under its
+// own class, its response under the request's class: strictly pinned
+// for a protocol response the classifier marks strict and for every
+// busy rejection (each busy frame is wire.BudgetLen bytes whatever was
+// shed, so the auditor proves shedding is operation-type invisible);
+// error responses, whose payload is an error string, are observed but
+// never length-checked.
+func (s *Server) account(m *serverMetrics, msgType byte, payload []byte, answered bool, respType, flags byte, resp []byte) {
 	s.mu.RLock()
-	obs := s.observer
+	observer := s.observer
 	s.mu.RUnlock()
-	if obs != nil {
-		obs(msgType, reqLen, respLen)
+	if observer != nil {
+		observer(msgType, len(payload), len(resp))
+	}
+	if m == nil {
+		return
+	}
+	class, strictReq, strictResp := classify(msgType, payload)
+	m.shape.Observe("in", msgType, class, strictReq, len(payload))
+	if answered {
+		m.framesOut.Inc()
+		m.bytesOut.Add(int64(headerSize + len(resp)))
+		strict := respType == MsgBusy || strictResp && flags&flagError == 0
+		m.shape.Observe("out", respType, class, strict, len(resp))
 	}
 }
 
@@ -576,20 +596,6 @@ type streamState struct {
 	done chan struct{} // closed when the stream's handler has produced its response
 }
 
-// auditFrame records a single direction-only frame observation (a
-// continuation frame, which has no paired response) with the shape
-// auditor, if installed.
-func (s *Server) auditFrame(msgType byte, payload []byte) {
-	s.shapeMu.RLock()
-	a, classify := s.shapeAud, s.shapeClassify
-	s.shapeMu.RUnlock()
-	if a == nil {
-		return
-	}
-	class, strictReq, _ := classify(msgType, payload)
-	a.Observe("in", msgType, class, strictReq, len(payload))
-}
-
 // serveConn reads request frames until the connection fails or Close
 // interrupts the read via a deadline; either way it then waits for
 // in-flight handlers to write their responses before closing the conn,
@@ -627,8 +633,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if flags&flagCont != 0 {
 			// A continuation frame crossed the wire whatever becomes of
 			// it, so it is audited as the adversary sees it first.
-			s.auditFrame(msgType, payload)
-			s.observe(msgType, len(payload), 0)
+			s.account(m, msgType, payload, false, 0, 0, nil)
 			if st, ok := streams[id]; ok {
 				// Feed the running handler. A full buffer blocks this read
 				// loop — deliberate backpressure — unless the handler
@@ -689,19 +694,11 @@ func (s *Server) serveRequest(conn net.Conn, wmu *sync.Mutex, sid, id uint64, tr
 			flags, resp = s.respondReleasing(adm, sid, id, tr, deadline, msgType, payload, m, sr)
 		default: // admitShed, admitExpired — one wire shape for both
 			msgOut, flags, resp = MsgBusy, flagResponse|flagBusy, adm.busyPayload()
-			s.auditBusy(msgType, payload, resp)
 		}
 	} else {
 		flags, resp = s.respond(sid, id, tr, deadline, msgType, payload, m, sr)
 	}
-	if m != nil {
-		m.framesOut.Inc()
-		m.bytesOut.Add(int64(headerSize + len(resp)))
-	}
-	s.observe(msgType, len(payload), len(resp))
-	if msgOut != MsgBusy {
-		s.auditExchange(msgType, payload, resp, flags)
-	}
+	s.account(m, msgType, payload, true, msgOut, flags, resp)
 	wmu.Lock()
 	// Responses echo the request's trace ref, so a traced
 	// caller can stitch both directions into one trace.
@@ -723,23 +720,6 @@ func (s *Server) serveRequest(conn net.Conn, wmu *sync.Mutex, sid, id uint64, tr
 func (s *Server) respondReleasing(adm *admission, sid, id uint64, tr trace.SpanContext, deadline time.Time, msgType byte, payload []byte, m *serverMetrics, sr *StreamReader) (byte, []byte) {
 	defer adm.release()
 	return s.respond(sid, id, tr, deadline, msgType, payload, m, sr)
-}
-
-// auditBusy records a shed exchange with the shape auditor: the
-// request under its own class as usual, the rejection under MsgBusy
-// with the same class and a strictly pinned length — every busy frame
-// is wire.BudgetLen bytes whatever was shed, so the auditor proves
-// shedding is operation-type invisible.
-func (s *Server) auditBusy(msgType byte, payload, resp []byte) {
-	s.shapeMu.RLock()
-	a, classify := s.shapeAud, s.shapeClassify
-	s.shapeMu.RUnlock()
-	if a == nil {
-		return
-	}
-	class, strictReq, _ := classify(msgType, payload)
-	a.Observe("in", msgType, class, strictReq, len(payload))
-	a.Observe("out", MsgBusy, class, true, len(resp))
 }
 
 // respond produces the response for one request frame: a dedup-cache
@@ -783,13 +763,12 @@ func (s *Server) respond(sid, id uint64, tr trace.SpanContext, deadline time.Tim
 	if sr != nil {
 		ctx = context.WithValue(ctx, streamCtxKey{}, sr)
 	}
-	var sp *trace.Span
-	if t := s.tracer.Load(); t != nil {
-		if sp = t.StartRemote(tr, "server_handle"); sp != nil {
-			ctx = trace.ContextWith(ctx, sp)
-		}
+	var handle *obs.StageTimer
+	if m != nil {
+		handle = m.handle
+		ctx = trace.ContextWith(ctx, m.tracer.Remote(tr))
 	}
-	sw := obs.StartWatch(m != nil)
+	rec, ctx := handle.Start(ctx, obs.Idle)
 	h, ok := s.handler(msgType)
 	var resp []byte
 	flags := byte(flagResponse)
@@ -802,15 +781,14 @@ func (s *Server) respond(sid, id uint64, tr trace.SpanContext, deadline time.Tim
 	} else {
 		resp = out
 	}
-	sp.End()
 	if len(resp) > MaxFrameSize-minFrameLen {
 		// An oversized response would fail the frame write and tear the
 		// connection down; surface it to the caller as an error instead.
 		flags |= flagError
 		resp = []byte(fmt.Sprintf("transport: %d byte response exceeds max frame size", len(resp)))
 	}
+	rec.End(nil, nil)
 	if m != nil {
-		sw.Lap(m.handlerLatency)
 		m.inflight.Dec()
 		if flags&flagError != 0 {
 			m.handlerErrors.Inc()
@@ -947,8 +925,10 @@ func (o Options) reconnectBackoff() (base, maxB time.Duration) {
 	return base, maxB
 }
 
-// clientMetrics is the client's wire-level instrumentation: call
-// latency, pool pressure, and connection health.
+// clientMetrics is the client's instrumentation (Instrument): call
+// latency, pool pressure, and connection health, the tracer that roots
+// calls made without a span of their own, and the process's shape
+// auditor.
 type clientMetrics struct {
 	inflight      *obs.Gauge
 	poolSaturated *obs.Counter
@@ -957,6 +937,8 @@ type clientMetrics struct {
 	connFailures  *obs.Counter
 	reconnects    *obs.Counter
 	retries       *obs.Counter
+	tracer        *trace.Tracer
+	shape         *obs.ShapeAuditor
 }
 
 // A Client issues RPCs over a fixed-size pool of connections,
@@ -973,11 +955,6 @@ type Client struct {
 	reqID   atomic.Uint64
 	closed  atomic.Bool
 	metrics atomic.Pointer[clientMetrics]
-	tracer  atomic.Pointer[trace.Tracer]
-
-	shapeMu       sync.RWMutex
-	shapeAud      *obs.ShapeAuditor
-	shapeClassify ShapeClassifier
 
 	bytesSent     atomic.Int64
 	bytesReceived atomic.Int64
@@ -1052,12 +1029,17 @@ func DialOptions(dial func() (net.Conn, error), opts Options) (*Client, error) {
 	return c, nil
 }
 
-// Instrument registers the client's wire metrics
-// (ortoa_transport_client_*) with reg: the cumulative Stats counters,
-// in-flight calls, pool saturation, call latency, connection
-// failures, reconnects, and retries. Call before issuing RPCs; a nil
-// registry leaves the client uninstrumented at zero cost.
-func (c *Client) Instrument(reg *obs.Registry) {
+// Instrument instruments the client as part of process proc: it
+// registers the wire metrics (ortoa_transport_client_*) with reg — the
+// cumulative Stats counters, in-flight calls, pool saturation, call
+// latency, connection failures, reconnects, and retries — roots a new
+// trace in proc's tracer for every attempt whose context carries no
+// span (calls whose context does, like the proxy's rpc stage, always
+// join that trace), and feeds every frame to proc's shape auditor:
+// requests as they are sent, responses as they arrive, under their
+// request's class. Call before issuing RPCs; a nil registry leaves the
+// client uninstrumented at zero cost.
+func (c *Client) Instrument(reg *obs.Registry, proc string) {
 	if reg == nil {
 		return
 	}
@@ -1072,34 +1054,26 @@ func (c *Client) Instrument(reg *obs.Registry) {
 		connFailures:  reg.Counter("ortoa_transport_client_conn_failures_total", "pooled connections lost to read errors"),
 		reconnects:    reg.Counter("ortoa_transport_client_reconnects_total", "pooled connections restored by the redial loop"),
 		retries:       reg.Counter("ortoa_transport_client_retries_total", "call attempts beyond the first (at-most-once, same request id)"),
+		tracer:        reg.Tracer(proc, 0),
+		shape:         reg.ShapeAuditor(proc),
 	})
 }
 
-// SetTracer installs a span tracer used when a call's context carries
-// no span of its own: each attempt then starts a fresh root trace.
-// Calls whose ctx already carries a span (the proxy's rpc stage)
-// always join that trace regardless of this tracer.
-func (c *Client) SetTracer(t *trace.Tracer) {
-	c.tracer.Store(t)
-}
-
-// AuditShape installs a continuous obliviousness shape auditor on the
-// client: request payloads are classified and length-checked as they
-// are sent, responses as they arrive (matched to their request's
-// class). Error responses are observed but never length-checked.
-func (c *Client) AuditShape(a *obs.ShapeAuditor, classify ShapeClassifier) {
-	if a == nil || classify == nil {
-		return
+// rootSpan starts a new trace for an attempt whose context carries no
+// span, when the client is instrumented with tracing on.
+func (c *Client) rootSpan(name string) *trace.Span {
+	if m := c.metrics.Load(); m != nil {
+		return m.tracer.StartRoot(name)
 	}
-	c.shapeMu.Lock()
-	c.shapeAud, c.shapeClassify = a, classify
-	c.shapeMu.Unlock()
+	return nil
 }
 
-func (c *Client) shape() (*obs.ShapeAuditor, ShapeClassifier) {
-	c.shapeMu.RLock()
-	defer c.shapeMu.RUnlock()
-	return c.shapeAud, c.shapeClassify
+// auditor returns the client's shape auditor (nil when uninstrumented).
+func (c *Client) auditor() *obs.ShapeAuditor {
+	if m := c.metrics.Load(); m != nil {
+		return m.shape
+	}
+	return nil
 }
 
 // NextID reserves a fresh request id. Combined with CallContextID it
@@ -1196,9 +1170,7 @@ func (c *Client) CallStreamContextID(ctx context.Context, id uint64, msgType byt
 	}
 	sp := trace.StartChild(ctx, "transport_stream")
 	if sp == nil {
-		if t := c.tracer.Load(); t != nil {
-			sp = t.StartRoot("transport_stream")
-		}
+		sp = c.rootSpan("transport_stream")
 	}
 	defer sp.End()
 	if c.opts.CallTimeout > 0 {
@@ -1217,7 +1189,7 @@ func (c *Client) CallStreamContextID(ctx context.Context, id uint64, msgType byt
 // written under wmu in producer order, so chunks arrive in sequence.
 func (cc *clientConn) callStream(ctx context.Context, id uint64, tr trace.SpanContext, msgType byte, produce func(send func(payload []byte) error) error) ([]byte, error) {
 	pc := pendingCall{ch: make(chan result, 1), msgType: msgType}
-	aud, classify := cc.client.shape()
+	aud := cc.client.auditor()
 	registered := false
 	var conn net.Conn // pinned at registration: the whole stream rides one physical conn
 	var early *result
@@ -1348,9 +1320,7 @@ func (c *Client) attempt(ctx context.Context, id uint64, msgType byte, payload [
 	}
 	sp := trace.StartChild(ctx, "transport_attempt")
 	if sp == nil {
-		if t := c.tracer.Load(); t != nil {
-			sp = t.StartRoot("transport_attempt")
-		}
+		sp = c.rootSpan("transport_attempt")
 	}
 	defer sp.End()
 	if c.opts.CallTimeout > 0 {
@@ -1470,8 +1440,7 @@ func (cc *clientConn) call(ctx context.Context, id uint64, tr trace.SpanContext,
 		return nil, err
 	}
 	pc := pendingCall{ch: make(chan result, 1), msgType: msgType}
-	aud, classify := cc.client.shape()
-	if aud != nil {
+	if aud := cc.client.auditor(); aud != nil {
 		var strictReq bool
 		pc.class, strictReq, pc.strictResp = classify(msgType, payload)
 		aud.Observe("out", msgType, pc.class, strictReq, len(payload))
@@ -1530,9 +1499,7 @@ func (cc *clientConn) readLoop(conn net.Conn) {
 			// Admission rejection: pinned strictly under the request's
 			// class — every busy frame is the same fixed width, so the
 			// client-side auditor proves it too.
-			if aud, _ := cc.client.shape(); aud != nil {
-				aud.Observe("in", MsgBusy, pc.class, true, len(payload))
-			}
+			cc.client.auditor().Observe("in", MsgBusy, pc.class, true, len(payload))
 			var retryAfter time.Duration
 			if len(payload) >= wire.BudgetLen {
 				retryAfter = time.Duration(wire.Budget(payload)) * time.Millisecond
@@ -1540,10 +1507,8 @@ func (cc *clientConn) readLoop(conn net.Conn) {
 			pc.ch <- result{err: &BusyError{RetryAfter: retryAfter}}
 			continue
 		}
-		if aud, _ := cc.client.shape(); aud != nil {
-			strict := pc.strictResp && flags&flagError == 0
-			aud.Observe("in", pc.msgType, pc.class, strict, len(payload))
-		}
+		strict := pc.strictResp && flags&flagError == 0
+		cc.client.auditor().Observe("in", pc.msgType, pc.class, strict, len(payload))
 		if flags&flagError != 0 {
 			pc.ch <- result{err: &RemoteError{Msg: string(payload)}}
 		} else {

@@ -14,7 +14,6 @@ import (
 	"ortoa/internal/fhe"
 	"ortoa/internal/kvstore"
 	"ortoa/internal/obs"
-	"ortoa/internal/obs/trace"
 	"ortoa/internal/transport"
 	"ortoa/internal/vfs"
 )
@@ -222,25 +221,24 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		return nil, fmt.Errorf("ortoa: ServerConfig.ValueSize must be positive")
 	}
 	s := &Server{store: kvstore.New(), ts: transport.NewServer()}
-	s.store.Instrument(cfg.Metrics)
-	s.ts.Instrument(cfg.Metrics)
-	s.ts.AuditShape(obs.NewShapeAuditor(cfg.Metrics, "server"), core.ShapeClassify)
-	if cfg.Metrics != nil && cfg.TraceBuffer > 0 {
-		s.ts.SetTracer(cfg.Metrics.Tracer("server", cfg.TraceBuffer))
+	if cfg.TraceBuffer > 0 {
+		cfg.Metrics.Tracer("server", cfg.TraceBuffer)
 	}
+	s.store.Instrument(cfg.Metrics)
+	s.ts.Instrument(cfg.Metrics, "server")
 	s.ts.LimitAdmission(cfg.Admission.config())
 	core.RegisterLoader(s.ts, s.store)
 	switch cfg.Protocol {
 	case ProtocolLBL, "":
 		lblSrv := core.NewLBLServer(s.store)
-		lblSrv.Instrument(cfg.Metrics)
+		lblSrv.Instrument(cfg.Metrics, "server")
 		lblSrv.Register(s.ts)
 	case ProtocolTEE:
 		teeSrv, err := core.NewTEEServer(s.store, cfg.EnclaveTransition)
 		if err != nil {
 			return nil, err
 		}
-		teeSrv.Instrument(cfg.Metrics)
+		teeSrv.Instrument(cfg.Metrics, "server")
 		teeSrv.Register(s.ts)
 	case ProtocolFHE:
 		params, err := cfg.FHE.params()
@@ -248,7 +246,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 			return nil, err
 		}
 		fheSrv := core.NewFHEServer(s.store, core.FHEConfig{Params: params, ValueSize: cfg.ValueSize})
-		fheSrv.Instrument(cfg.Metrics)
+		fheSrv.Instrument(cfg.Metrics, "server")
 		fheSrv.Register(s.ts)
 	case ProtocolBaseline2RTT:
 		core.NewBaselineServer(s.store).Register(s.ts)
@@ -440,8 +438,6 @@ type Client struct {
 	lblProxy  *core.LBLProxy
 	fheSecret []byte
 	metrics   *obs.Registry
-	tracer    *trace.Tracer
-	shapeAud  *obs.ShapeAuditor
 
 	// directory tracks loaded keys in sorted order, enabling the
 	// §8.2-style range reads over primary keys.
@@ -489,13 +485,10 @@ func NewClient(cfg ClientConfig, dial func() (net.Conn, error)) (*Client, error)
 		return nil, err
 	}
 	c := &Client{protocol: cfg.Protocol, valueSize: cfg.ValueSize, rpc: rpc, metrics: cfg.Metrics}
-	rpc.Instrument(cfg.Metrics)
-	c.shapeAud = obs.NewShapeAuditor(cfg.Metrics, "proxy")
-	rpc.AuditShape(c.shapeAud, core.ShapeClassify)
-	if cfg.Metrics != nil && cfg.TraceBuffer > 0 {
-		c.tracer = cfg.Metrics.Tracer("proxy", cfg.TraceBuffer)
-		rpc.SetTracer(c.tracer)
+	if cfg.TraceBuffer > 0 {
+		cfg.Metrics.Tracer("proxy", cfg.TraceBuffer)
 	}
+	rpc.Instrument(cfg.Metrics, "proxy")
 	switch cfg.Protocol {
 	case ProtocolLBL, "":
 		mode, err := cfg.LBLVariant.mode()
@@ -508,8 +501,7 @@ func NewClient(cfg ClientConfig, dial func() (net.Conn, error)) (*Client, error)
 			rpc.Close()
 			return nil, err
 		}
-		proxy.Instrument(cfg.Metrics)
-		proxy.TraceWith(c.tracer)
+		proxy.Instrument(cfg.Metrics, "proxy")
 		c.accessor, c.builder, c.lblProxy = proxy, proxy, proxy
 	case ProtocolTEE:
 		teeClient, err := core.NewTEEClient(core.TEEConfig{ValueSize: cfg.ValueSize}, f, cfg.Keys.DataKey, rpc)
@@ -517,7 +509,7 @@ func NewClient(cfg ClientConfig, dial func() (net.Conn, error)) (*Client, error)
 			rpc.Close()
 			return nil, err
 		}
-		teeClient.Instrument(cfg.Metrics)
+		teeClient.Instrument(cfg.Metrics, "proxy")
 		c.accessor, c.builder, c.teeClient = teeClient, teeClient, teeClient
 	case ProtocolFHE:
 		params, err := cfg.FHE.params()
@@ -548,7 +540,7 @@ func NewClient(cfg ClientConfig, dial func() (net.Conn, error)) (*Client, error)
 				return nil, fmt.Errorf("ortoa: provisioning relinearization key: %w", err)
 			}
 		}
-		fheClient.Instrument(cfg.Metrics)
+		fheClient.Instrument(cfg.Metrics, "proxy")
 		c.accessor, c.builder = fheClient, fheClient
 		c.fheSecret = sk.Marshal()
 	case ProtocolBaseline2RTT:
@@ -935,16 +927,11 @@ func (c *Client) ServeProxyOptions(l net.Listener, opts ProxyServeOptions) error
 			BrownoutPending:  opts.AggBrownoutPending,
 			BrownoutMaxBatch: opts.AggBrownoutMaxBatch,
 		}, c.lblProxy)
-		agg.Instrument(c.metrics)
-		agg.TraceWith(c.tracer)
+		agg.Instrument(c.metrics, "proxy")
 		accessor = agg
 	}
 	ts := transport.NewServer()
-	ts.Instrument(c.metrics)
-	ts.AuditShape(c.shapeAud, core.ShapeClassify)
-	if c.tracer != nil {
-		ts.SetTracer(c.tracer)
-	}
+	ts.Instrument(c.metrics, "proxy")
 	ts.LimitAdmission(opts.Admission.config())
 	core.RegisterProxyService(ts, accessor)
 	c.proxyMu.Lock()
